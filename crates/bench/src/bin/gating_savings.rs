@@ -26,12 +26,12 @@ use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::{DatasetRun, VideoRun};
 use tm_bench::perf::{collect_meta, percentile, repo_root, time_iters, BenchCase, BenchReport};
 use tm_bench::report::{header, observed, save_json, table};
-use tm_core::{merge_mapping, CandidateSelector, SelectionInput, TMerge, TMergeConfig};
+use tm_core::{merge_mapping, TMerge, TMergeConfig, WindowWalk};
 use tm_datasets::pathtrack;
 use tm_metrics::{identity_metrics, recall};
-use tm_reid::{CostModel, Device, GateConfig, GatePolicy, ReidSession};
+use tm_reid::{CostModel, Device, GateConfig, GatePolicy};
 use tm_track::TrackerKind;
-use tm_types::TrackPair;
+use tm_types::{Result, TrackPair};
 
 /// Tentpole gate: minimum accepted inference saving.
 const MIN_SAVING_PCT: f64 = 30.0;
@@ -64,41 +64,35 @@ struct Walk {
 
 /// Runs every window of every video under `gate`, oracle-verifies the
 /// candidates, merges the accepted pairs and scores the merged output.
-fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Walk {
-    let per_video = tm_par::par_map(runs, |run| {
+fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Result<Walk> {
+    let per_video = tm_par::par_map(runs, |run| -> Result<_> {
         let model = run.video.model();
-        let corr = &run.video.correspondence;
         let sel = selector(seed);
-        let mut session =
-            ReidSession::new(&model, CostModel::calibrated(), Device::Gpu { batch: 10 })
-                .with_gate(gate);
-        session.gate_update_plan(&run.video.tracks);
-        let mut candidates: Vec<TrackPair> = Vec::new();
-        let mut accepted: Vec<TrackPair> = Vec::new();
+        let mut walk = WindowWalk::new(
+            &model,
+            CostModel::calibrated(),
+            Device::Gpu { batch: 10 },
+            gate,
+            &run.video.tracks,
+            &run.windows,
+            tm_bench::experiments::sweep::K,
+        )?;
         let mut window_us: Vec<u64> = Vec::new();
-        for wp in &run.windows {
-            if wp.pairs.is_empty() {
-                continue;
-            }
-            let input = SelectionInput {
-                pairs: &wp.pairs,
-                tracks: &run.video.tracks,
-                k: tm_bench::experiments::sweep::K,
-                voi: None,
-            };
-            let before = session.elapsed_ms();
-            let result = sel
-                .select(&input, &mut session)
-                .expect("clean backend: selection cannot fail");
-            window_us.push(((session.elapsed_ms() - before) * 1_000.0).round() as u64);
-            session.flush_gate_obs();
-            for p in result.candidates {
-                if corr.is_polyonymous(&p) {
-                    accepted.push(p);
-                }
-                candidates.push(p);
+        for (wi, wp) in run.windows.iter().enumerate() {
+            let before = walk.session().elapsed_ms();
+            walk.decide(wi, &sel, None)?;
+            if !wp.pairs.is_empty() {
+                let ms = walk.session().elapsed_ms() - before;
+                window_us.push((ms * 1_000.0).round() as u64);
             }
         }
+        let candidates = walk.finish(&sel)?;
+        let corr = &run.video.correspondence;
+        let accepted: Vec<TrackPair> = candidates
+            .iter()
+            .filter(|p| corr.is_polyonymous(p))
+            .copied()
+            .collect();
         let merged = run.video.tracks.relabeled(&merge_mapping(&accepted));
         let idf1 = identity_metrics(&run.video.gt_tracks, &merged, 0.5).idf1;
         let rec = if run.truth.is_empty() {
@@ -106,14 +100,15 @@ fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Walk {
         } else {
             Some(recall(candidates.iter(), &run.truth))
         };
-        (
+        let session = walk.session();
+        Ok((
             session.stats(),
             session.gate_stats(),
             session.elapsed_ms(),
             window_us,
             idf1,
             rec,
-        )
+        ))
     });
     let mut out = Walk {
         inferences: 0,
@@ -125,7 +120,8 @@ fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Walk {
         rec: 0.0,
     };
     let mut recs: Vec<f64> = Vec::new();
-    for (stats, gate_stats, elapsed, us, idf1, rec) in per_video {
+    for video in per_video {
+        let (stats, gate_stats, elapsed, us, idf1, rec) = video?;
         out.inferences += stats.inferences;
         out.cache_hits += stats.cache_hits;
         out.saved_charges += gate_stats.saved_charges();
@@ -141,7 +137,7 @@ fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Walk {
         recs.iter().sum::<f64>() / recs.len() as f64
     };
     out.window_us.sort_unstable();
-    out
+    Ok(out)
 }
 
 /// The side-by-side comparison written to `results/gating_savings.json`.
@@ -166,11 +162,11 @@ struct GatingSavings {
     elapsed_s_gated: f64,
 }
 
-fn run(cfg: &ExpConfig) -> (GatingSavings, Walk, Walk) {
+fn run(cfg: &ExpConfig) -> Result<(GatingSavings, Walk, Walk)> {
     let spec = cfg.limit(pathtrack(), 4);
     let ds = DatasetRun::prepare(&spec, TrackerKind::Tracktor, None);
-    let off = walk(&ds.runs, GatePolicy::Off, cfg.seed);
-    let on = walk(&ds.runs, GatePolicy::On(GateConfig::default()), cfg.seed);
+    let off = walk(&ds.runs, GatePolicy::Off, cfg.seed)?;
+    let on = walk(&ds.runs, GatePolicy::On(GateConfig::default()), cfg.seed)?;
     assert_eq!(
         off.window_us.len(),
         on.window_us.len(),
@@ -200,12 +196,12 @@ fn run(cfg: &ExpConfig) -> (GatingSavings, Walk, Walk) {
     let obs = tm_obs::current();
     obs.counter("gating.inferences_saved", saved);
     obs.counter("gating.saving_pct", r.saving_pct as u64);
-    (r, off, on)
+    Ok((r, off, on))
 }
 
-fn main() {
+fn main() -> Result<()> {
     let cfg = ExpConfig::from_args();
-    let (r, _off, _on) = observed("gating_savings", || run(&cfg));
+    let (r, _off, _on) = observed("gating_savings", || run(&cfg))?;
 
     header(&format!(
         "Gating savings — novelty-gated extraction on PathTrack ({} videos, {} windows)",
@@ -282,23 +278,24 @@ fn main() {
     let ds = DatasetRun::prepare(&spec, TrackerKind::Tracktor, None);
     let frames = ds.total_frames();
     let iters = if cfg.quick { 1 } else { 3 };
-    let cases = [
+    let mut cases = Vec::new();
+    for (name, gate, inferences) in [
         ("pipeline_ungated", GatePolicy::Off, r.ungated_inferences),
         (
             "pipeline_gated",
             GatePolicy::On(GateConfig::default()),
             r.gated_inferences,
         ),
-    ]
-    .map(|(name, gate, inferences)| {
-        let t = time_iters(iters, || {
-            walk(&ds.runs, gate, cfg.seed);
-        });
-        BenchCase::from_timing(name, t, frames, inferences, 0)
-    });
+    ] {
+        // Deterministic: every timed walk fails alike or not at all.
+        let mut walked = Ok(());
+        let t = time_iters(iters, || walked = walk(&ds.runs, gate, cfg.seed).map(drop));
+        walked?;
+        cases.push(BenchCase::from_timing(name, t, frames, inferences, 0));
+    }
     let report = BenchReport {
         meta: collect_meta(cfg.quick),
-        cases: cases.to_vec(),
+        cases,
     };
     report
         .validate()
@@ -310,4 +307,5 @@ fn main() {
     let path = repo_root().join("BENCH_gating.json");
     std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -3,12 +3,12 @@
 
 use serde::Serialize;
 use std::collections::BTreeSet;
-use tm_core::{build_window_pairs, CandidateSelector, SelectionInput, WindowPairs};
+use tm_core::{build_window_pairs, CandidateSelector, WindowPairs, WindowWalk};
 use tm_datasets::{prepare, DatasetSpec, PreparedVideo};
 use tm_metrics::recall;
-use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy, ReidSession};
+use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy};
 use tm_track::TrackerKind;
-use tm_types::TrackPair;
+use tm_types::{Result, TrackPair};
 
 /// A prepared video together with its window pair sets and the global
 /// polyonymous truth `P*` (all pairs of tracks attributed to one actor).
@@ -106,10 +106,16 @@ pub fn run_selector(
 }
 
 /// [`run_selector`] with an extraction gate installed on every per-video
-/// session (`GatePolicy::Off` is exactly `run_selector`). Gate decision
-/// counters flush once per decided window — the `AssignStats` cadence —
-/// and the saved charges are attributed to the selector as
-/// `reid.gate.saved_charges.<slug>`.
+/// session (`GatePolicy::Off` is exactly `run_selector`). Each video is
+/// one [`WindowWalk`], so gate decision counters flush once per decided
+/// window — the `AssignStats` cadence — and the saved charges are
+/// attributed to the selector as `reid.gate.saved_charges.<slug>`.
+///
+/// # Panics
+///
+/// When the selector rejects a prepared video (a non-finite `k`, or pairs
+/// naming tracks the video does not have); backend failures cannot occur,
+/// the model being the backend.
 pub fn run_selector_gated(
     runs: &[VideoRun],
     selector: &dyn CandidateSelector,
@@ -118,40 +124,19 @@ pub fn run_selector_gated(
     device: Device,
     gate: GatePolicy,
 ) -> RunOutcome {
-    let outcomes = tm_par::par_map(runs, |run| {
+    let outcomes = tm_par::par_map(runs, |run| -> Result<VideoOutcome> {
         let model = run.video.model();
-        let mut session = ReidSession::new(&model, cost, device).with_gate(gate);
-        session.gate_update_plan(&run.video.tracks);
-        let obs = tm_obs::current();
-        let mut candidates: Vec<TrackPair> = Vec::new();
-        let mut evals = 0u64;
-        for wp in &run.windows {
-            if wp.pairs.is_empty() {
-                continue;
-            }
-            let input = SelectionInput {
-                pairs: &wp.pairs,
-                tracks: &run.video.tracks,
-                k,
-                voi: None,
-            };
-            let result = selector
-                .select(&input, &mut session)
-                .expect("clean backend: selection cannot fail");
-            let delta = session.flush_gate_obs();
-            if obs.enabled() && delta.saved_charges() > 0 {
-                obs.counter(
-                    &format!("reid.gate.saved_charges.{}", selector.obs_slug()),
-                    delta.saved_charges(),
-                );
-            }
-            evals += result.distance_evals;
-            candidates.extend(result.candidates);
+        let tracks = &run.video.tracks;
+        let mut walk = WindowWalk::new(&model, cost, device, gate, tracks, &run.windows, k)?;
+        for wi in 0..run.windows.len() {
+            walk.decide(wi, selector, None)?;
         }
-        VideoOutcome {
+        let candidates = walk.finish(selector)?;
+        let session = walk.session();
+        Ok(VideoOutcome {
             elapsed_ms: session.elapsed_ms(),
             frames: run.video.n_frames,
-            evals,
+            evals: walk.distance_evals(),
             n_candidates: candidates.len(),
             inferences: session.stats().inferences,
             cache_hits: session.stats().cache_hits,
@@ -160,7 +145,7 @@ pub fn run_selector_gated(
             } else {
                 Some(recall(candidates.iter(), &run.truth))
             },
-        }
+        })
     });
     let mut total_ms = 0.0;
     let mut total_frames = 0u64;
@@ -170,6 +155,7 @@ pub fn run_selector_gated(
     let mut cache_hits = 0u64;
     let mut recs: Vec<f64> = Vec::new();
     for o in outcomes {
+        let o = o.unwrap_or_else(|e| panic!("{} on a prepared video: {e}", selector.name()));
         total_ms += o.elapsed_ms;
         total_frames += o.frames;
         total_evals += o.evals;

@@ -23,8 +23,8 @@
 //!
 //! Each shard's clock is charged only for its own boxes plus the batching
 //! lane's amortized per-request overhead
-//! ([`tm_reid::BatchConfig::amortized_overhead_ms`]); fleet fan-out never
-//! charges simulated time, exactly as `run_pipeline_parallel` never does.
+//! ([`tm_reid::BatchConfig::amortized_overhead_ms`]); fleet fan-out itself
+//! never charges simulated time, so a shard's clock is its solo clock.
 //!
 //! ## Restart
 //!

@@ -369,7 +369,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 session_cost,
                 device,
                 None,
-                None,
                 Some(robustness.retry),
                 GatePolicy::Off,
             ),
@@ -518,9 +517,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
         let (candidates, mode) = if pairs.is_empty() {
             (Vec::new(), DecisionMode::Normal)
-        } else if self.breaker.is_open() {
-            self.degrade_round(round, lo, hi, &pairs, counts);
-            (Vec::new(), DecisionMode::Degraded)
         } else {
             let input = SelectionInput {
                 pairs: &pairs,
@@ -528,26 +524,26 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 k: self.config.k,
                 voi: None,
             };
-            let outcome = self.selector.select(&input, &mut self.session);
-            exec::flush_gate_obs(&mut self.session, &self.obs, self.selector.obs_slug());
-            match outcome {
-                Ok(result) => {
-                    self.breaker.record_success();
+            match exec::select_guarded(
+                &self.selector,
+                &input,
+                &mut self.session,
+                &mut self.breaker,
+                &mut self.counters,
+                &self.obs,
+                round,
+            )? {
+                Some(result) => {
                     let kept = self.filter_candidates(result.candidates, &result.scores);
                     self.commit(&kept, combined);
                     (kept, DecisionMode::Normal)
                 }
-                Err(e) if e.is_backend() => {
-                    exec::note_breaker_failure(
-                        &mut self.breaker,
-                        &mut self.counters,
-                        &self.obs,
-                        round,
-                    );
+                // No provisional merges on this layer: a degraded round
+                // commits nothing and rolls back its pairs instead.
+                None => {
                     self.degrade_round(round, lo, hi, &pairs, counts);
                     (Vec::new(), DecisionMode::Degraded)
                 }
-                Err(e) => return Err(e),
             }
         };
 

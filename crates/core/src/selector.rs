@@ -8,7 +8,7 @@
 use crate::voi::VoiHints;
 use std::collections::HashMap;
 use tm_reid::ReidSession;
-use tm_types::{Result, TrackPair, TrackSet};
+use tm_types::{Result, TmError, TrackPair, TrackSet};
 
 /// Input to a selection run: one window's pair set.
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +33,20 @@ impl SelectionInput<'_> {
     }
 }
 
+/// Rejects a budget fraction `K` that is not finite. [`SelectionInput::m`]
+/// clamps `K` into `[0, 1]`, but `NaN` survives the clamp and would
+/// silently select nothing; the window walks check `K` once, up front.
+pub(crate) fn check_k(k: f64) -> Result<()> {
+    if k.is_finite() {
+        Ok(())
+    } else {
+        Err(TmError::invalid(
+            "k",
+            format!("must be a finite fraction, got {k}"),
+        ))
+    }
+}
+
 /// Output of a selection run.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionResult {
@@ -54,10 +68,10 @@ pub struct SelectionResult {
 /// and carries all cost accounting; selectors must route every model
 /// invocation through it.
 ///
-/// Selectors are `Send + Sync` so the parallel pipeline and the experiment
-/// engine can share one boxed selector across worker threads. All mutable
-/// per-run state (RNGs, posteriors) lives inside `select`, which seeds a
-/// fresh RNG from the configured seed per call — so a shared selector is
+/// Selectors are `Send + Sync` so the experiment engine can share one
+/// selector across worker threads. All mutable per-run state (RNGs,
+/// posteriors) lives inside `select`, which seeds a fresh RNG from the
+/// configured seed per call — so a shared selector is
 /// indistinguishable from a per-thread instance. That statelessness is also
 /// what makes degraded-mode recovery possible: re-running `select` on a
 /// stashed window after a backend outage reproduces exactly the result a

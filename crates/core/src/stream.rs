@@ -24,10 +24,10 @@
 //! [`StreamingMerger::resume`] (see `crate::checkpoint`) continues a killed
 //! ingester at the last completed window with byte-identical results.
 
-use crate::exec::{self, ReverifyItem, WindowVerdict};
+use crate::exec::{self, ReverifyItem};
 use crate::pairs::tracks_in_first_half;
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
-use crate::selector::{CandidateSelector, SelectionInput};
+use crate::selector::{check_k, CandidateSelector, SelectionInput};
 use crate::union::UnionFind;
 use crate::voi::{VoiHints, VoiMode};
 use crate::window::Window;
@@ -193,6 +193,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         if config.window_len == 0 || !config.window_len.is_multiple_of(2) {
             return Err(TmError::invalid("window_len", "must be positive and even"));
         }
+        check_k(config.k)?;
         let robustness = RobustnessConfig::default();
         Ok(Self {
             config,
@@ -203,7 +204,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 model,
                 session_cost,
                 device,
-                None,
                 None,
                 Some(robustness.retry),
                 config.gate,
@@ -396,24 +396,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
         let (candidates, mode) = if pairs.is_empty() {
             (Vec::new(), DecisionMode::Normal)
-        } else if self.shed {
-            // Shed-load mode: decide on spatio-temporal evidence only,
-            // charging nothing, and stash the window for re-verification —
-            // the same contract as a breaker-degraded window.
-            let input = SelectionInput {
-                pairs: &pairs,
-                tracks,
-                k: self.config.k,
-                voi: None,
-            };
-            let provisional =
-                exec::degrade_window(&input, &mut self.counters, &self.robustness, &self.obs)?;
-            self.stash.push(StashedWindow {
-                window: w,
-                pairs: pairs.clone(),
-                provisional: provisional.clone(),
-            });
-            (provisional, DecisionMode::Degraded)
         } else {
             let voi = match self.config.voi {
                 VoiMode::Reweight => self.voi_hints.as_ref(),
@@ -425,18 +407,31 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 k: self.config.k,
                 voi,
             };
-            match exec::select_or_degrade(
-                &self.selector,
-                &input,
-                &mut self.session,
-                &mut self.breaker,
-                &mut self.counters,
-                &self.robustness,
-                &self.obs,
-                w.index as u64,
-            )? {
-                WindowVerdict::Normal(r) => (r.candidates, DecisionMode::Normal),
-                WindowVerdict::Degraded(provisional) => {
+            // Shed-load mode skips selection outright: the window is
+            // decided on spatio-temporal evidence, charging nothing — the
+            // same contract as a breaker-degraded window.
+            let selected = if self.shed {
+                None
+            } else {
+                exec::select_guarded(
+                    &self.selector,
+                    &input,
+                    &mut self.session,
+                    &mut self.breaker,
+                    &mut self.counters,
+                    &self.obs,
+                    w.index as u64,
+                )?
+            };
+            match selected {
+                Some(r) => (r.candidates, DecisionMode::Normal),
+                None => {
+                    let provisional = exec::degrade_window(
+                        &input,
+                        &mut self.counters,
+                        &self.robustness,
+                        &self.obs,
+                    )?;
                     self.stash.push(StashedWindow {
                         window: w,
                         pairs: pairs.clone(),
@@ -800,6 +795,25 @@ mod tests {
             },
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_k() {
+        let (model, _) = fixture();
+        let built = StreamingMerger::new(
+            &model,
+            CostModel::zero(),
+            Device::Cpu,
+            selector(),
+            StreamConfig {
+                k: f64::NAN,
+                ..config()
+            },
+        );
+        assert!(
+            matches!(built, Err(TmError::InvalidConfig { param: "k", .. })),
+            "a NaN budget must not silently select nothing"
+        );
     }
 
     #[test]

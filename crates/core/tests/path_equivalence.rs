@@ -1,6 +1,6 @@
-//! Pins the four execution paths — serial pipeline, parallel pipeline,
-//! streaming merger and a fleet of one — to the same answer on the same
-//! video. All of them now run the shared window protocol in
+//! Pins the three execution paths — the offline pipeline, the streaming
+//! merger and a fleet of one — to the same answer on the same video. All
+//! of them decide windows through the shared step in
 //! `crates/core/src/exec.rs`; this test is the tripwire that keeps them
 //! from drifting apart again.
 
@@ -75,14 +75,11 @@ fn sorted(pairs: &[TrackPair]) -> Vec<TrackPair> {
 }
 
 #[test]
-fn all_four_paths_agree() {
+fn all_three_paths_agree() {
     let (model, tracks) = fixture();
 
     let serial =
         tm_core::run_pipeline(&tracks, N_FRAMES, &model, &pipeline_config(), None).unwrap();
-    let parallel =
-        tm_core::run_pipeline_parallel(&tracks, N_FRAMES, &model, &pipeline_config(), None)
-            .unwrap();
 
     let stream_config = StreamConfig {
         window_len: WINDOW_LEN,
@@ -119,12 +116,6 @@ fn all_four_paths_agree() {
     }
     fleet.finish(&[(&tracks, N_FRAMES)]).unwrap();
 
-    // Serial vs parallel: identical report.
-    assert_eq!(sorted(&serial.candidates), sorted(&parallel.candidates));
-    assert_eq!(serial.accepted, parallel.accepted);
-    assert_eq!(serial.n_pairs, parallel.n_pairs);
-    assert!((serial.elapsed_ms - parallel.elapsed_ms).abs() < 1e-6);
-
     // Streaming vs serial: same merges and clock. (The streaming walk
     // decides empty windows that the offline walk skips, so decision
     // *lists* differ in padding; the semantic outputs must not.)
@@ -145,12 +136,12 @@ fn all_four_paths_agree() {
     assert_eq!(shard.mapping(), streaming.mapping());
 }
 
-/// The same four-path agreement, but with the extraction gate on: all
+/// The same three-path agreement, but with the extraction gate on: all
 /// entry paths share one `GatePolicy` (exec::window_session), so a gated
 /// fleet shard must stay byte-identical to a gated solo streamer, and
-/// both must agree with the gated offline walks on the semantic outputs.
+/// both must agree with the gated offline walk on the semantic outputs.
 #[test]
-fn all_four_paths_agree_gated() {
+fn all_three_paths_agree_gated() {
     let (model, tracks) = fixture();
     let gate = GatePolicy::On(GateConfig::default());
 
@@ -159,8 +150,6 @@ fn all_four_paths_agree_gated() {
         ..pipeline_config()
     };
     let serial = tm_core::run_pipeline(&tracks, N_FRAMES, &model, &config, None).unwrap();
-    let parallel =
-        tm_core::run_pipeline_parallel(&tracks, N_FRAMES, &model, &config, None).unwrap();
 
     let stream_config = StreamConfig {
         window_len: WINDOW_LEN,
@@ -197,9 +186,6 @@ fn all_four_paths_agree_gated() {
     }
     fleet.finish(&[(&tracks, N_FRAMES)]).unwrap();
 
-    assert_eq!(sorted(&serial.candidates), sorted(&parallel.candidates));
-    assert_eq!(serial.accepted, parallel.accepted);
-    assert!((serial.elapsed_ms - parallel.elapsed_ms).abs() < 1e-6);
     assert_eq!(sorted(streaming.accepted()), sorted(&serial.accepted));
 
     let shard = fleet.shard_mut(0);
@@ -287,7 +273,7 @@ fn gate_off_and_always_extract_match_ungated_exactly() {
 /// Property pins for the gate: for any small random track population,
 /// `GatePolicy::Off` and `GateConfig::always_extract()` are the same
 /// pipeline (candidates, accepted merges, charges and clock bits), and
-/// for any gate tuning the serial, parallel and streaming walks agree.
+/// for any gate tuning the offline and streaming walks agree.
 mod gate_properties {
     use super::*;
     use proptest::prelude::*;
@@ -370,17 +356,6 @@ mod gate_properties {
             let model = AppearanceModel::new(AppearanceConfig::default());
             let gate = GatePolicy::On(cfg);
             let serial = run_serial(&tracks, &model, gate);
-            let config = PipelineConfig {
-                gate,
-                ..pipeline_config()
-            };
-            let parallel =
-                tm_core::run_pipeline_parallel(&tracks, N_FRAMES, &model, &config, None)
-                    .unwrap();
-            prop_assert_eq!(sorted(&serial.candidates), sorted(&parallel.candidates));
-            prop_assert_eq!(&serial.accepted, &parallel.accepted);
-            prop_assert_eq!(serial.stats.inferences, parallel.stats.inferences);
-
             let mut streaming = StreamingMerger::new(
                 &model,
                 CostModel::calibrated(),

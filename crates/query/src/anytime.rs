@@ -59,10 +59,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use tm_core::checkpoint::{Reader, Writer};
 use tm_core::{
-    build_window_pairs, CandidateSelector, PipelineConfig, SelectionInput, StreamingMerger,
-    UnionFind, VoiHints, VoiMode,
+    build_window_pairs, CandidateSelector, PipelineConfig, StreamingMerger, UnionFind, VoiHints,
+    VoiMode, WindowWalk,
 };
-use tm_reid::{AppearanceModel, ReidSession};
+use tm_reid::AppearanceModel;
 use tm_types::{BBox, Result, TmError, Track, TrackId, TrackPair, TrackSet};
 
 use crate::queries::{evaluate, Query, QueryAnswer};
@@ -647,9 +647,17 @@ impl AnytimeQuery {
         };
         order.sort_by(|&a, &b| total_w(b).total_cmp(&total_w(a)).then(a.cmp(&b)));
 
-        let mut session = ReidSession::new(model, self.pipeline.cost, self.pipeline.device)
-            .with_gate(self.pipeline.gate);
-        session.gate_update_plan(tracks);
+        // One walk, the model as its backend: the same per-window step as
+        // the classic pipeline, visited in VoI order.
+        let mut walk = WindowWalk::new(
+            model,
+            self.pipeline.cost,
+            self.pipeline.device,
+            self.pipeline.gate,
+            tracks,
+            &windows,
+            self.pipeline.k,
+        )?;
 
         let mut processed = vec![false; windows.len()];
         let mut accepted: Vec<TrackPair> = Vec::new();
@@ -725,30 +733,23 @@ impl AnytimeQuery {
                 // still unprocessed, proportionally to their pair counts,
                 // so every window is visited at reduced depth instead of
                 // the first few exhausting the budget; unspent allowance
-                // flows to later windows.
+                // flows to later windows. The share is at most `r`, but
+                // `r · here` can overflow a u64 when the budget is huge.
                 Some(r) => {
-                    let here = windows[wi].pairs.len() as u64;
-                    let left: u64 = order[pos..]
+                    let here = windows[wi].pairs.len() as u128;
+                    let left: u128 = order[pos..]
                         .iter()
-                        .map(|&w| windows[w].pairs.len() as u64)
+                        .map(|&w| windows[w].pairs.len() as u128)
                         .sum();
-                    let share = (r * here).div_ceil(left.max(1));
+                    let share = (u128::from(r) * here).div_ceil(left.max(1));
+                    let share = u64::try_from(share).unwrap_or(u64::MAX);
                     self.pipeline.selector.with_tau_at_most(share.max(1))
                 }
                 None => self.pipeline.selector,
             };
-            let selector = kind.build();
-            let wp = &windows[wi];
-            session.set_epoch(wp.window.index as u64);
-            let input = SelectionInput {
-                pairs: &wp.pairs,
-                tracks,
-                k: self.pipeline.k,
-                voi: self.config.reweight_arms.then_some(&hints),
-            };
-            let result = selector.select(&input, &mut session)?;
-            spent += result.distance_evals;
-            accepted.extend(result.candidates);
+            let voi = self.config.reweight_arms.then_some(&hints);
+            accepted.extend_from_slice(walk.decide(wi, kind.build().as_ref(), voi)?);
+            spent = walk.distance_evals();
             processed[wi] = true;
             (estimate, answer) = observe(
                 &accepted,

@@ -205,3 +205,28 @@ proptest! {
         }
     }
 }
+
+/// A budget too large to ever bind is the same run as no budget at all:
+/// the per-window share must not overflow on its way to `τ_max`.
+#[test]
+fn huge_budget_matches_unbudgeted_run() {
+    let actors = [(0, 250, 3), (20, 200, 2), (40, 260, 4), (10, 180, 2)];
+    let pred = world(&actors);
+    let frames = n_frames(&actors);
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    for query in queries() {
+        let unbudgeted = driver(None, false, true)
+            .run(&pred, frames, &model, query)
+            .unwrap();
+        let huge = driver(Some(1 << 63), false, true)
+            .run(&pred, frames, &model, query)
+            .unwrap();
+        assert_eq!(huge.accepted, unbudgeted.accepted, "{query:?}");
+        assert_eq!(huge.inferences_spent, unbudgeted.inferences_spent);
+        assert_eq!(huge.estimate, unbudgeted.estimate);
+        assert_eq!(
+            (huge.lo.to_bits(), huge.hi.to_bits()),
+            (unbudgeted.lo.to_bits(), unbudgeted.hi.to_bits())
+        );
+    }
+}

@@ -93,8 +93,9 @@ impl BackendReply {
 
 /// A (possibly unreliable) feature-extraction service.
 ///
-/// `Sync` because the parallel pipeline shares one backend across
-/// per-window sessions, exactly as it shares the appearance model.
+/// `Sync` because the fleet shares one backend (a batching lane's
+/// scheduler) across shards on worker threads, exactly as it shares the
+/// appearance model.
 pub trait InferenceBackend: std::fmt::Debug + Sync {
     /// Runs the model on one box. Implementations must be deterministic in
     /// `(tb, at)` — same attempt, same reply — or cross-run reproducibility

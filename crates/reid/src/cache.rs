@@ -1,13 +1,12 @@
-//! A sharded, read-through feature cache shared by concurrent sessions.
+//! A sharded, read-through feature cache shared by concurrent requesters.
 //!
-//! The parallel pipeline (`tm_core::run_pipeline_parallel`) gives every
-//! window its own [`crate::ReidSession`] but lets all of them share one
-//! `SharedFeatureCache`, mirroring the serial pipeline's cross-window
-//! feature reuse (§IV-B). Each in-flight slot is a once-cell: the first
-//! session to miss a key computes (and is charged for) the feature while
-//! concurrent requesters for the same key block briefly and then reuse it
-//! for free — so every distinct box is inferred, and charged, exactly once
-//! per cache, just as in the serial run.
+//! The fleet's cross-stream [`crate::BatchScheduler`] keeps every feature
+//! it computes for any stream in one content-keyed `SharedFeatureCache`,
+//! so a box seen by several cameras is inferred once (§IV-B's feature
+//! reuse, across streams). Each in-flight slot is a once-cell: the first
+//! requester to miss a key computes the feature while concurrent
+//! requesters for the same key block briefly and then reuse it — so every
+//! distinct key is computed exactly once per cache.
 //!
 //! ## Two tiers: frozen and live
 //!

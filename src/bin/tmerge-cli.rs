@@ -165,8 +165,11 @@ fn cmd_pipeline(args: &Args) {
         voi: tm_core::VoiMode::Off,
     };
     let model = video.model();
-    let report = run_pipeline(&video.tracks, video.n_frames, &model, &config, None)
-        .expect("valid configuration");
+    let report =
+        run_pipeline(&video.tracks, video.n_frames, &model, &config, None).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage()
+        });
     let truth = {
         let all: Vec<&Track> = video.tracks.iter().collect();
         video.correspondence.all_polyonymous(&all)

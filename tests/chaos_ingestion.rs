@@ -273,6 +273,44 @@ fn hard_down_windows_degrade_then_recover() {
     assert_eq!(faulty.mapping(), clean.mapping());
 }
 
+/// The offline walk through a hard outage: every degraded window is
+/// re-verified — mid-video when the backend comes back at window 4, or at
+/// the end-of-video epoch when it is down through the last window — and
+/// the run decides exactly what the fault-free `run_pipeline` decides,
+/// down to candidate order.
+#[test]
+fn offline_hard_down_recovers_to_the_fault_free_pipeline() {
+    let (model, tracks) = fixture();
+    let config = pipeline_config();
+    let clean = run_pipeline(&tracks, N_FRAMES, &model, &config, None).unwrap();
+
+    for plan in [
+        FaultPlan::none().with_hard_down(2, 4),
+        FaultPlan::none().with_hard_down(5, 7),
+    ] {
+        let wrapper = FaultyModel::new(&model, plan.clone());
+        let faulty = run_pipeline_with_backend(
+            &tracks,
+            N_FRAMES,
+            &model,
+            &config,
+            None,
+            &wrapper,
+            &RobustnessConfig::default(),
+        )
+        .unwrap();
+        let report = faulty.robustness;
+        assert!(report.degraded_windows > 0, "{plan:?}: {report:?}");
+        assert_eq!(
+            report.degraded_windows, report.reverified_windows,
+            "{plan:?}: {report:?}"
+        );
+        assert_eq!(faulty.candidates, clean.candidates, "{plan:?}");
+        assert_eq!(faulty.accepted, clean.accepted, "{plan:?}");
+        assert_eq!(sorted_ids(&faulty.merged), sorted_ids(&clean.merged));
+    }
+}
+
 /// Acceptance: the extraction gate composes with chaos. A gated merger
 /// driven through a hard backend outage — degraded windows, breaker trip,
 /// recovery, re-verification — must converge to the same final merges and
