@@ -27,7 +27,6 @@
 //!
 //! `--quick` shrinks the large world for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::ExpConfig;
 use tm_bench::perf::{collect_meta, repo_root, time_iters, BenchCase, BenchReport};
 use tm_bench::report::{header, observed, save_json, table};
@@ -91,24 +90,26 @@ fn world(cameras: u64) -> MultiCameraWorld {
     })
 }
 
-/// One resolved city: the side-by-side scores for a camera count.
-#[derive(Serialize, Clone)]
-struct CityRun {
-    cameras: u64,
-    actors: u64,
-    horizon: u64,
-    tracks: usize,
-    transits: usize,
-    idf1_per_camera: f64,
-    idf1_global: f64,
-    gain_pts: f64,
-    pairs_total: u64,
-    pairs_admitted: u64,
-    pruning_ratio: f64,
-    cross_links: usize,
-    learned_pairs: usize,
-    reid_inferences: u64,
-    batch_dispatches: u64,
+tm_bench::json_struct! {
+    /// One resolved city: the side-by-side scores for a camera count.
+    #[derive(Clone)]
+    struct CityRun {
+        cameras: u64,
+        actors: u64,
+        horizon: u64,
+        tracks: usize,
+        transits: usize,
+        idf1_per_camera: f64,
+        idf1_global: f64,
+        gain_pts: f64,
+        pairs_total: u64,
+        pairs_admitted: u64,
+        pruning_ratio: f64,
+        cross_links: usize,
+        learned_pairs: usize,
+        reid_inferences: u64,
+        batch_dispatches: u64,
+    }
 }
 
 fn run_city(cameras: u64, seed: u64) -> CityRun {
@@ -179,10 +180,11 @@ fn run_city(cameras: u64, seed: u64) -> CityRun {
     }
 }
 
-#[derive(Serialize)]
-struct CrossCamera {
-    small: CityRun,
-    large: CityRun,
+tm_bench::json_struct! {
+    struct CrossCamera {
+        small: CityRun,
+        large: CityRun,
+    }
 }
 
 fn run(cfg: &ExpConfig) -> CrossCamera {

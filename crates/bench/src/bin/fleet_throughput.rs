@@ -8,7 +8,6 @@
 //! counting backend) versus one `FleetIngester` whose streams share a
 //! `BatchScheduler` — same decisions on every stream, fewer inferences.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tm_bench::report::{header, observed, save_json, table};
 use tm_core::{FleetIngester, StreamConfig, StreamingMerger, TMerge, TMergeConfig};
@@ -95,16 +94,17 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-#[derive(Serialize)]
-struct FleetThroughput {
-    n_streams: usize,
-    solo_inferences: u64,
-    fleet_inferences: u64,
-    saved: u64,
-    saving_pct: f64,
-    batch_dispatches: u64,
-    largest_batch: u64,
-    per_stream_solo: Vec<u64>,
+tm_bench::json_struct! {
+    struct FleetThroughput {
+        n_streams: usize,
+        solo_inferences: u64,
+        fleet_inferences: u64,
+        saved: u64,
+        saving_pct: f64,
+        batch_dispatches: u64,
+        largest_batch: u64,
+        per_stream_solo: Vec<u64>,
+    }
 }
 
 fn run() -> FleetThroughput {

@@ -21,7 +21,6 @@
 //!
 //! `--quick` clips the dataset for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::{DatasetRun, VideoRun};
 use tm_bench::perf::{collect_meta, percentile, repo_root, time_iters, BenchCase, BenchReport};
@@ -140,26 +139,27 @@ fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Result<Walk> {
     Ok(out)
 }
 
-/// The side-by-side comparison written to `results/gating_savings.json`.
-#[derive(Serialize)]
-struct GatingSavings {
-    n_videos: usize,
-    n_windows: usize,
-    ungated_inferences: u64,
-    gated_inferences: u64,
-    saved: u64,
-    saving_pct: f64,
-    gate_saved_charges: u64,
-    idf1_ungated: f64,
-    idf1_gated: f64,
-    recall_ungated: f64,
-    recall_gated: f64,
-    window_p50_us_ungated: u64,
-    window_p50_us_gated: u64,
-    window_p99_us_ungated: u64,
-    window_p99_us_gated: u64,
-    elapsed_s_ungated: f64,
-    elapsed_s_gated: f64,
+tm_bench::json_struct! {
+    /// The side-by-side comparison written to `results/gating_savings.json`.
+    struct GatingSavings {
+        n_videos: usize,
+        n_windows: usize,
+        ungated_inferences: u64,
+        gated_inferences: u64,
+        saved: u64,
+        saving_pct: f64,
+        gate_saved_charges: u64,
+        idf1_ungated: f64,
+        idf1_gated: f64,
+        recall_ungated: f64,
+        recall_gated: f64,
+        window_p50_us_ungated: u64,
+        window_p50_us_gated: u64,
+        window_p99_us_ungated: u64,
+        window_p99_us_gated: u64,
+        elapsed_s_ungated: f64,
+        elapsed_s_gated: f64,
+    }
 }
 
 fn run(cfg: &ExpConfig) -> Result<(GatingSavings, Walk, Walk)> {

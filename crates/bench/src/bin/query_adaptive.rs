@@ -26,7 +26,6 @@
 //!
 //! `--quick` clips the dataset for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::quality::{COUNT_MIN_FRAMES, CO_OCCUR_GROUP, CO_OCCUR_MIN_FRAMES};
 use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::{DatasetRun, VideoRun};
@@ -202,42 +201,42 @@ fn anytime(
     )
 }
 
-/// One point of the budget curve, aggregated over videos: recall is
-/// averaged, spend is summed.
-#[derive(Serialize)]
-struct BudgetPoint {
-    budget_pct: u64,
-    query: &'static str,
-    voi_spent: u64,
-    voi_recall: f64,
-    voi_early_terminations: u64,
-    agnostic_spent: u64,
-    agnostic_recall: f64,
-}
+tm_bench::json_struct! {
+    /// One point of the budget curve, aggregated over videos: recall is
+    /// averaged, spend is summed.
+    struct BudgetPoint {
+        budget_pct: u64,
+        query: &'static str,
+        voi_spent: u64,
+        voi_recall: f64,
+        voi_early_terminations: u64,
+        agnostic_spent: u64,
+        agnostic_recall: f64,
+    }
 
-/// The full comparison written to `results/query_adaptive.json`.
-#[derive(Serialize)]
-struct QueryAdaptive {
-    n_videos: usize,
-    /// Full-budget spend summed over videos (per query).
-    full_spent: [u64; 2],
-    /// Full-budget recall averaged over videos (per query).
-    full_recall: [f64; 2],
-    /// Unbudgeted VoI spend (run until the interval converges), summed
-    /// over videos (per query).
-    voi_full_spent: [u64; 2],
-    /// Unbudgeted VoI recall averaged over videos (per query).
-    voi_full_recall: [f64; 2],
-    points: Vec<BudgetPoint>,
-    /// Region-transit run-to-convergence: VoI vs agnostic spend, summed
-    /// over videos.
-    region_voi_spent: u64,
-    region_agnostic_spent: u64,
-    /// Videos whose region query terminated early on interval convergence.
-    region_early_terminations: u64,
-    /// Region-query pairs deferred as provably irrelevant, over videos.
-    region_deferred: u64,
-    early_terminations: u64,
+    /// The full comparison written to `results/query_adaptive.json`.
+    struct QueryAdaptive {
+        n_videos: usize,
+        /// Full-budget spend summed over videos (per query).
+        full_spent: [u64; 2],
+        /// Full-budget recall averaged over videos (per query).
+        full_recall: [f64; 2],
+        /// Unbudgeted VoI spend (run until the interval converges), summed
+        /// over videos (per query).
+        voi_full_spent: [u64; 2],
+        /// Unbudgeted VoI recall averaged over videos (per query).
+        voi_full_recall: [f64; 2],
+        points: Vec<BudgetPoint>,
+        /// Region-transit run-to-convergence: VoI vs agnostic spend, summed
+        /// over videos.
+        region_voi_spent: u64,
+        region_agnostic_spent: u64,
+        /// Videos whose region query terminated early on interval convergence.
+        region_early_terminations: u64,
+        /// Region-query pairs deferred as provably irrelevant, over videos.
+        region_deferred: u64,
+        early_terminations: u64,
+    }
 }
 
 fn run(cfg: &ExpConfig) -> QueryAdaptive {

@@ -12,7 +12,6 @@
 //! only, queue bounds held, the always-on tenant recovered, and resident
 //! state compacted down to the horizon.
 
-use serde::Serialize;
 use std::time::Instant;
 use tm_bench::report::{header, observed, save_json, table};
 use tm_chaos::{FaultyModel, TenantChurn, TenantChurnConfig};
@@ -60,27 +59,28 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-#[derive(Serialize)]
-struct ServeSoak {
-    cycles: u64,
-    tenants: u64,
-    streams: usize,
-    windows_decided: u64,
-    windows_per_sec: f64,
-    admitted: u64,
-    rejected_queue_full: u64,
-    rejected_rate_limited: u64,
-    survivor_shed_entries: u64,
-    survivor_shed_exits: u64,
-    compacted_windows: u64,
-    peak_queue: usize,
-    peak_stash: usize,
-    final_decision_entries: usize,
-    batch_requests: u64,
-    batch_computed: u64,
-    batch_saved: u64,
-    batch_saving_pct: f64,
-    wall_ms: f64,
+tm_bench::json_struct! {
+    struct ServeSoak {
+        cycles: u64,
+        tenants: u64,
+        streams: usize,
+        windows_decided: u64,
+        windows_per_sec: f64,
+        admitted: u64,
+        rejected_queue_full: u64,
+        rejected_rate_limited: u64,
+        survivor_shed_entries: u64,
+        survivor_shed_exits: u64,
+        compacted_windows: u64,
+        peak_queue: usize,
+        peak_stash: usize,
+        final_decision_entries: usize,
+        batch_requests: u64,
+        batch_computed: u64,
+        batch_saved: u64,
+        batch_saving_pct: f64,
+        wall_ms: f64,
+    }
 }
 
 fn run() -> ServeSoak {

@@ -5,29 +5,30 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::DatasetRun;
-use serde::Serialize;
 use tm_core::{score::exact_scores, score::PairBoxes, SelectionInput};
 use tm_datasets::{kitti, mot17, pathtrack};
 use tm_metrics::pearson;
 use tm_reid::{CostModel, Device, ReidSession};
 use tm_track::TrackerKind;
 
-/// One dataset's correlations.
-#[derive(Debug, Clone, Serialize)]
-pub struct CorrRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Pearson correlation of score with spatial distance `DisS`.
-    pub corr_spatial: f64,
-    /// Pearson correlation of score with temporal distance `DisT`.
-    pub corr_temporal: f64,
-    /// Fraction of *polyonymous* pairs with `DisS < thr_S` (= 200) — the
-    /// statistic BetaInit's warm start actually relies on.
-    pub poly_within_thr: f64,
-    /// Fraction of *distinct* pairs with `DisS < thr_S`.
-    pub distinct_within_thr: f64,
-    /// Sample size (pairs pooled over videos).
-    pub n_pairs: usize,
+crate::json_struct! {
+    /// One dataset's correlations.
+    #[derive(Debug, Clone)]
+    pub struct CorrRow {
+        /// Dataset name.
+        pub dataset: String,
+        /// Pearson correlation of score with spatial distance `DisS`.
+        pub corr_spatial: f64,
+        /// Pearson correlation of score with temporal distance `DisT`.
+        pub corr_temporal: f64,
+        /// Fraction of *polyonymous* pairs with `DisS < thr_S` (= 200) — the
+        /// statistic BetaInit's warm start actually relies on.
+        pub poly_within_thr: f64,
+        /// Fraction of *distinct* pairs with `DisS < thr_S`.
+        pub distinct_within_thr: f64,
+        /// Sample size (pairs pooled over videos).
+        pub n_pairs: usize,
+    }
 }
 
 /// Computes score–DisS and score–DisT correlations on the three datasets.

@@ -6,19 +6,20 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::{DatasetRun, VideoRun};
-use serde::Serialize;
 use tm_core::{score::exact_scores, selector::top_m_by_score, SelectionInput};
 use tm_datasets::{kitti, mot17, pathtrack};
 use tm_metrics::recall;
 use tm_reid::{CostModel, Device, ReidSession};
 
-/// One dataset's REC–K series.
-#[derive(Debug, Clone, Serialize)]
-pub struct RecKCurve {
-    /// Dataset name.
-    pub dataset: String,
-    /// `(K, REC)` points.
-    pub points: Vec<(f64, f64)>,
+crate::json_struct! {
+    /// One dataset's REC–K series.
+    #[derive(Debug, Clone)]
+    pub struct RecKCurve {
+        /// Dataset name.
+        pub dataset: String,
+        /// `(K, REC)` points.
+        pub points: Vec<(f64, f64)>,
+    }
 }
 
 /// The K grid of the figure.

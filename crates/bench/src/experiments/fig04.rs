@@ -6,21 +6,22 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::VideoRun;
-use serde::Serialize;
 use tm_core::Baseline;
 use tm_datasets::{pathtrack, prepare};
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
-/// One point of the scaling series.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingPoint {
-    /// Video length in frames.
-    pub n_frames: u64,
-    /// Track pairs accumulated across windows.
-    pub n_pairs: usize,
-    /// Simulated BL runtime in seconds.
-    pub runtime_s: f64,
+crate::json_struct! {
+    /// One point of the scaling series.
+    #[derive(Debug, Clone)]
+    pub struct ScalingPoint {
+        /// Video length in frames.
+        pub n_frames: u64,
+        /// Track pairs accumulated across windows.
+        pub n_pairs: usize,
+        /// Simulated BL runtime in seconds.
+        pub runtime_s: f64,
+    }
 }
 
 /// Computes the scaling series.

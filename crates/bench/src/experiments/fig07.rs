@@ -3,35 +3,36 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::{run_selector, DatasetRun};
-use serde::Serialize;
 use tm_core::{Baseline, TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
-/// One τ_max point.
-#[derive(Debug, Clone, Serialize)]
-pub struct TauPoint {
-    /// The iteration budget.
-    pub tau_max: u64,
-    /// Recall achieved.
-    pub rec: f64,
-    /// Simulated runtime in seconds (all videos).
-    pub runtime_s: f64,
-    /// Feature-cache hit rate (the reuse effect the paper credits for the
-    /// flattening runtime).
-    pub hit_rate: f64,
-}
+crate::json_struct! {
+    /// One τ_max point.
+    #[derive(Debug, Clone)]
+    pub struct TauPoint {
+        /// The iteration budget.
+        pub tau_max: u64,
+        /// Recall achieved.
+        pub rec: f64,
+        /// Simulated runtime in seconds (all videos).
+        pub runtime_s: f64,
+        /// Feature-cache hit rate (the reuse effect the paper credits for the
+        /// flattening runtime).
+        pub hit_rate: f64,
+    }
 
-/// The figure's data: the TMerge-B series plus the BL-B reference.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig07 {
-    /// TMerge-B (B = 10) points.
-    pub points: Vec<TauPoint>,
-    /// Total BL-B runtime on the same videos (the paper reports 2762 s).
-    pub bl_b_runtime_s: f64,
-    /// BL-B recall (the ceiling TMerge approaches).
-    pub bl_rec: f64,
+    /// The figure's data: the TMerge-B series plus the BL-B reference.
+    #[derive(Debug, Clone)]
+    pub struct Fig07 {
+        /// TMerge-B (B = 10) points.
+        pub points: Vec<TauPoint>,
+        /// Total BL-B runtime on the same videos (the paper reports 2762 s).
+        pub bl_b_runtime_s: f64,
+        /// BL-B recall (the ceiling TMerge approaches).
+        pub bl_rec: f64,
+    }
 }
 
 /// Computes the τ_max sweep.

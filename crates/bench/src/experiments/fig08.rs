@@ -3,18 +3,19 @@
 
 use crate::experiments::{sweep::averaged_outcome, ExpConfig};
 use crate::harness::{CurvePoint, DatasetRun};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use tm_core::{TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
-/// The ablation curves, keyed by variant name.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig08 {
-    /// Variant → REC–FPS points.
-    pub curves: BTreeMap<String, Vec<CurvePoint>>,
+crate::json_struct! {
+    /// The ablation curves, keyed by variant name.
+    #[derive(Debug, Clone)]
+    pub struct Fig08 {
+        /// Variant → REC–FPS points.
+        pub curves: BTreeMap<String, Vec<CurvePoint>>,
+    }
 }
 
 /// The three variants of the figure.

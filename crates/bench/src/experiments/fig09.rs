@@ -7,23 +7,24 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::{run_selector, DatasetRun};
-use serde::Serialize;
 use tm_core::{Baseline, TMerge, TMergeConfig};
 use tm_datasets::pathtrack;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
-/// REC of both algorithms at one window length.
-#[derive(Debug, Clone, Serialize)]
-pub struct WindowLenPoint {
-    /// The window length `L`.
-    pub window_len: u64,
-    /// BL recall.
-    pub bl_rec: f64,
-    /// TMerge recall.
-    pub tmerge_rec: f64,
-    /// Total pairs formed at this `L` (diagnostic).
-    pub n_pairs: usize,
+crate::json_struct! {
+    /// REC of both algorithms at one window length.
+    #[derive(Debug, Clone)]
+    pub struct WindowLenPoint {
+        /// The window length `L`.
+        pub window_len: u64,
+        /// BL recall.
+        pub bl_rec: f64,
+        /// TMerge recall.
+        pub tmerge_rec: f64,
+        /// Total pairs formed at this `L` (diagnostic).
+        pub n_pairs: usize,
+    }
 }
 
 /// Computes the `L` sensitivity series.

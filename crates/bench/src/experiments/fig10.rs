@@ -3,18 +3,19 @@
 
 use crate::experiments::{sweep::averaged_outcome, ExpConfig};
 use crate::harness::{CurvePoint, DatasetRun};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use tm_core::{TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
-/// REC–FPS curves keyed by the `thr_S` label.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig10 {
-    /// `thr_S` label → points.
-    pub curves: BTreeMap<String, Vec<CurvePoint>>,
+crate::json_struct! {
+    /// REC–FPS curves keyed by the `thr_S` label.
+    #[derive(Debug, Clone)]
+    pub struct Fig10 {
+        /// `thr_S` label → points.
+        pub curves: BTreeMap<String, Vec<CurvePoint>>,
+    }
 }
 
 /// Computes the thr_S sensitivity curves.

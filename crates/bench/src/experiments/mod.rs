@@ -1,6 +1,7 @@
 //! One module per paper exhibit. Every function takes an [`ExpConfig`] and
-//! returns a serializable result (so the binaries can print and persist it
-//! and the integration tests can assert on the shapes).
+//! returns a [`ToJson`](crate::json::ToJson) result (so the binaries can
+//! print and persist it and the integration tests can assert on the
+//! shapes).
 
 pub mod corr;
 pub mod fig03;

@@ -9,7 +9,6 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::VideoRun;
-use serde::Serialize;
 use tm_core::{run_pipeline, PipelineConfig, SelectorKind, TMergeConfig};
 use tm_datasets::{mot17, prepare, DatasetSpec};
 use tm_metrics::{
@@ -53,16 +52,18 @@ fn merged_tracks(run: &VideoRun, seed: u64) -> TrackSet {
     .merged
 }
 
-/// Fig. 11 — polyonymous rate of a tracker's output, before and after
-/// TMerge.
-#[derive(Debug, Clone, Serialize)]
-pub struct PolyRateRow {
-    /// Tracker name.
-    pub tracker: String,
-    /// `|P*| / |P|` without TMerge.
-    pub rate_without: f64,
-    /// `|P* \ P̂*| / |P|` with TMerge (Eq. in §V-G).
-    pub rate_with: f64,
+crate::json_struct! {
+    /// Fig. 11 — polyonymous rate of a tracker's output, before and after
+    /// TMerge.
+    #[derive(Debug, Clone)]
+    pub struct PolyRateRow {
+        /// Tracker name.
+        pub tracker: String,
+        /// `|P*| / |P|` without TMerge.
+        pub rate_without: f64,
+        /// `|P* \ P̂*| / |P|` with TMerge (Eq. in §V-G).
+        pub rate_with: f64,
+    }
 }
 
 /// Computes Fig. 11 for the trackers the paper compares (Tracktor,
@@ -109,34 +110,36 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<PolyRateRow> {
     })
 }
 
-/// Fig. 12 — identity metrics of Tracktor on MOT-17 with and without
-/// TMerge (plus MOTA/IDS from CLEAR-MOT as supporting numbers).
-#[derive(Debug, Clone, Serialize)]
-pub struct IdMetricsResult {
-    /// IDF1/IDP/IDR without TMerge.
-    pub without: IdTriple,
-    /// IDF1/IDP/IDR with TMerge.
-    pub with: IdTriple,
-    /// ID switches without / with TMerge (CLEAR-MOT).
-    pub id_switches: (u64, u64),
-    /// MOTA without / with TMerge.
-    pub mota: (f64, f64),
-    /// HOTA without / with TMerge (extension metric; fragmentation moves
-    /// its association component only).
-    pub hota: (f64, f64),
-    /// HOTA's association accuracy AssA without / with TMerge.
-    pub ass_a: (f64, f64),
-}
+crate::json_struct! {
+    /// Fig. 12 — identity metrics of Tracktor on MOT-17 with and without
+    /// TMerge (plus MOTA/IDS from CLEAR-MOT as supporting numbers).
+    #[derive(Debug, Clone)]
+    pub struct IdMetricsResult {
+        /// IDF1/IDP/IDR without TMerge.
+        pub without: IdTriple,
+        /// IDF1/IDP/IDR with TMerge.
+        pub with: IdTriple,
+        /// ID switches without / with TMerge (CLEAR-MOT).
+        pub id_switches: (u64, u64),
+        /// MOTA without / with TMerge.
+        pub mota: (f64, f64),
+        /// HOTA without / with TMerge (extension metric; fragmentation moves
+        /// its association component only).
+        pub hota: (f64, f64),
+        /// HOTA's association accuracy AssA without / with TMerge.
+        pub ass_a: (f64, f64),
+    }
 
-/// A compact IDF1/IDP/IDR triple.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct IdTriple {
-    /// Identity F1.
-    pub idf1: f64,
-    /// Identity precision.
-    pub idp: f64,
-    /// Identity recall.
-    pub idr: f64,
+    /// A compact IDF1/IDP/IDR triple.
+    #[derive(Debug, Clone, Copy)]
+    pub struct IdTriple {
+        /// Identity F1.
+        pub idf1: f64,
+        /// Identity precision.
+        pub idp: f64,
+        /// Identity recall.
+        pub idr: f64,
+    }
 }
 
 /// Computes Fig. 12.
@@ -186,15 +189,17 @@ pub fn fig12(cfg: &ExpConfig) -> IdMetricsResult {
     }
 }
 
-/// Fig. 13 — recall of the two §V-H queries with and without TMerge.
-#[derive(Debug, Clone, Serialize)]
-pub struct QueryRecallResult {
-    /// *Count* query (objects visible > 200 frames): recall without /
-    /// with TMerge.
-    pub count: (f64, f64),
-    /// *Co-occurring Objects* (3 objects jointly > 50 frames): recall
-    /// without / with TMerge.
-    pub co_occurrence: (f64, f64),
+crate::json_struct! {
+    /// Fig. 13 — recall of the two §V-H queries with and without TMerge.
+    #[derive(Debug, Clone)]
+    pub struct QueryRecallResult {
+        /// *Count* query (objects visible > 200 frames): recall without /
+        /// with TMerge.
+        pub count: (f64, f64),
+        /// *Co-occurring Objects* (3 objects jointly > 50 frames): recall
+        /// without / with TMerge.
+        pub co_occurrence: (f64, f64),
+    }
 }
 
 /// Count-query duration threshold (frames), as in the paper's example.

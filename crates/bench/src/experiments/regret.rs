@@ -4,33 +4,34 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::DatasetRun;
-use serde::Serialize;
 use tm_core::selector::CandidateSelector;
 use tm_core::{score::exact_scores, SelectionInput, TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device, ReidSession};
 use tm_track::TrackerKind;
 
-/// One τ point of the regret curve.
-#[derive(Debug, Clone, Serialize)]
-pub struct RegretPoint {
-    /// Iterations executed.
-    pub tau: u64,
-    /// Empirical average regret `R(τ)` (Eq. in §IV-E).
-    pub avg_regret: f64,
-    /// The `√(|P_c|·ln τ / τ)` bound shape (unit constant).
-    pub bound_shape: f64,
-}
+crate::json_struct! {
+    /// One τ point of the regret curve.
+    #[derive(Debug, Clone)]
+    pub struct RegretPoint {
+        /// Iterations executed.
+        pub tau: u64,
+        /// Empirical average regret `R(τ)` (Eq. in §IV-E).
+        pub avg_regret: f64,
+        /// The `√(|P_c|·ln τ / τ)` bound shape (unit constant).
+        pub bound_shape: f64,
+    }
 
-/// The regret series of one window.
-#[derive(Debug, Clone, Serialize)]
-pub struct RegretCurve {
-    /// Number of pairs in the window.
-    pub n_pairs: usize,
-    /// The minimum normalized exact score `s̃_min`.
-    pub s_min: f64,
-    /// Sampled points of `R(τ)`.
-    pub points: Vec<RegretPoint>,
+    /// The regret series of one window.
+    #[derive(Debug, Clone)]
+    pub struct RegretCurve {
+        /// Number of pairs in the window.
+        pub n_pairs: usize,
+        /// The minimum normalized exact score `s̃_min`.
+        pub s_min: f64,
+        /// Sampled points of `R(τ)`.
+        pub points: Vec<RegretPoint>,
+    }
 }
 
 /// Measures the empirical average regret of TMerge on the first MOT-17

@@ -3,7 +3,6 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::{fps_at_rec, run_selector, CurvePoint, DatasetRun, RunOutcome};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use tm_core::{
     Baseline, CandidateSelector, LcbConfig, LowerConfidenceBound, ProportionalSampling, PsConfig,
@@ -16,15 +15,17 @@ use tm_track::TrackerKind;
 /// The paper's default candidate budget (§V-A).
 pub const K: f64 = 0.05;
 
-/// REC–FPS curves of every algorithm on one dataset/device.
-#[derive(Debug, Clone, Serialize)]
-pub struct AlgoCurves {
-    /// Dataset name.
-    pub dataset: String,
-    /// Device label (`CPU`, `GPU B=10`, ...).
-    pub device: String,
-    /// Algorithm name → sweep points.
-    pub curves: BTreeMap<String, Vec<CurvePoint>>,
+crate::json_struct! {
+    /// REC–FPS curves of every algorithm on one dataset/device.
+    #[derive(Debug, Clone)]
+    pub struct AlgoCurves {
+        /// Dataset name.
+        pub dataset: String,
+        /// Device label (`CPU`, `GPU B=10`, ...).
+        pub device: String,
+        /// Algorithm name → sweep points.
+        pub curves: BTreeMap<String, Vec<CurvePoint>>,
+    }
 }
 
 /// Averages an outcome over `trials` differently-seeded selector builds.
@@ -177,26 +178,28 @@ pub fn fig06(cfg: &ExpConfig) -> Vec<AlgoCurves> {
     .collect()
 }
 
-/// One Table II row: an algorithm's FPS at the two REC targets.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table2Row {
-    /// Method name (BL, PS, LCB, TMerge, and `-B` variants).
-    pub method: String,
-    /// FPS at REC = 0.80 (`None` → the method never reaches it, printed
-    /// as `-` like the paper's BL row).
-    pub fps_at_080: Option<f64>,
-    /// FPS at REC = 0.93.
-    pub fps_at_093: Option<f64>,
-}
+crate::json_struct! {
+    /// One Table II row: an algorithm's FPS at the two REC targets.
+    #[derive(Debug, Clone)]
+    pub struct Table2Row {
+        /// Method name (BL, PS, LCB, TMerge, and `-B` variants).
+        pub method: String,
+        /// FPS at REC = 0.80 (`None` → the method never reaches it, printed
+        /// as `-` like the paper's BL row).
+        pub fps_at_080: Option<f64>,
+        /// FPS at REC = 0.93.
+        pub fps_at_093: Option<f64>,
+    }
 
-/// Table II: FPS at REC ∈ {0.80, 0.93} on MOT-17, CPU and GPU (B = 10,
-/// 100).
-#[derive(Debug, Clone, Serialize)]
-pub struct Table2 {
-    /// CPU methods.
-    pub cpu: Vec<Table2Row>,
-    /// GPU methods per batch size.
-    pub gpu: BTreeMap<String, Vec<Table2Row>>,
+    /// Table II: FPS at REC ∈ {0.80, 0.93} on MOT-17, CPU and GPU (B = 10,
+    /// 100).
+    #[derive(Debug, Clone)]
+    pub struct Table2 {
+        /// CPU methods.
+        pub cpu: Vec<Table2Row>,
+        /// GPU methods per batch size.
+        pub gpu: BTreeMap<String, Vec<Table2Row>>,
+    }
 }
 
 fn rows_from_curves(curves: &AlgoCurves, suffix: &str) -> Vec<Table2Row> {

@@ -1,7 +1,7 @@
 //! Shared experiment machinery: prepared videos with pair sets and truth,
 //! selector execution with REC/FPS aggregation, and parameter sweeps.
 
-use serde::Serialize;
+use crate::json::{write_object, ToJson};
 use std::collections::BTreeSet;
 use tm_core::{build_window_pairs, CandidateSelector, WindowPairs, WindowWalk};
 use tm_datasets::{prepare, DatasetSpec, PreparedVideo};
@@ -42,24 +42,26 @@ impl VideoRun {
     }
 }
 
-/// Aggregate outcome of running one selector over a set of videos.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct RunOutcome {
-    /// Recall against the global polyonymous truth, averaged over videos
-    /// that have any polyonymous pairs.
-    pub rec: f64,
-    /// Frames processed per simulated second.
-    pub fps: f64,
-    /// Total simulated runtime in seconds.
-    pub runtime_s: f64,
-    /// Total BBox-pair distance evaluations.
-    pub distance_evals: u64,
-    /// Total candidates returned.
-    pub n_candidates: usize,
-    /// ReID feature inferences executed.
-    pub inferences: u64,
-    /// Feature requests served from the cache (the paper's reuse effect).
-    pub cache_hits: u64,
+crate::json_struct! {
+    /// Aggregate outcome of running one selector over a set of videos.
+    #[derive(Debug, Clone, Copy)]
+    pub struct RunOutcome {
+        /// Recall against the global polyonymous truth, averaged over videos
+        /// that have any polyonymous pairs.
+        pub rec: f64,
+        /// Frames processed per simulated second.
+        pub fps: f64,
+        /// Total simulated runtime in seconds.
+        pub runtime_s: f64,
+        /// Total BBox-pair distance evaluations.
+        pub distance_evals: u64,
+        /// Total candidates returned.
+        pub n_candidates: usize,
+        /// ReID feature inferences executed.
+        pub inferences: u64,
+        /// Feature requests served from the cache (the paper's reuse effect).
+        pub cache_hits: u64,
+    }
 }
 
 impl RunOutcome {
@@ -187,13 +189,21 @@ pub fn run_selector_gated(
 }
 
 /// One point of a parameter sweep (a REC–FPS curve).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CurvePoint {
     /// Human-readable parameter value (e.g. `η=0.05` or `τ=10000`).
     pub param: String,
     /// The outcome at this parameter.
-    #[serde(flatten)]
     pub outcome: RunOutcome,
+}
+
+/// Written flat: `param`, then the outcome's fields in declaration order.
+impl ToJson for CurvePoint {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let param = ("param", &self.param as &dyn ToJson);
+        let fields = std::iter::once(param).chain(self.outcome.json_fields());
+        write_object(out, depth, fields);
+    }
 }
 
 /// Interpolated FPS at a target REC from a sweep (assumes the sweep spans

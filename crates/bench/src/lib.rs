@@ -2,9 +2,9 @@
 //!
 //! The experiment harness: reproduces **every table and figure** of the
 //! paper's evaluation (§V). Each experiment lives in [`experiments`] as a
-//! function returning a serializable result, with a thin binary per
-//! table/figure in `src/bin/` that prints the paper-format rows and writes
-//! JSON to `results/`.
+//! function returning a result that writes itself as JSON ([`json`]), with
+//! a thin binary per table/figure in `src/bin/` that prints the
+//! paper-format rows and writes JSON to `results/`.
 //!
 //! | Paper exhibit | Binary |
 //! |---|---|
@@ -30,6 +30,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod json;
 pub mod perf;
 pub mod report;
 

@@ -5,17 +5,15 @@
 //! Those files are the repo's persistent performance record: each run
 //! appends a point to the trajectory (kernels / cache / ingest), tagged
 //! with the git SHA, thread count and SIMD dispatch that produced it, so a
-//! regression shows up as a diff. The offline `serde_json` stub cannot
-//! serialize real values, so this module hand-rolls the tiny JSON dialect
-//! the schema needs (objects, arrays, strings, finite numbers, bools) —
-//! **both** directions, so the files round-trip and the validator can
-//! re-read what the binary is about to write *before* it overwrites the
-//! previous trajectory point.
+//! regression shows up as a diff. Files are written and re-read through
+//! the [`crate::json`] codec, so the validator can re-read what the binary
+//! is about to write *before* it overwrites the previous trajectory point.
 //!
 //! Also here: the counting global allocator the allocation audit and the
 //! bench binary install ([`CountingAlloc`]) and the SIMD speedup gate
 //! ([`speedup`], asserted ≥ 1.5× for the dot kernel on AVX2 hosts).
 
+use crate::json::{parse_json, to_json_pretty, write_object, Json, ToJson};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,25 +142,27 @@ pub fn speedup(base: Timing, fast: Timing) -> f64 {
 // Schema
 // ---------------------------------------------------------------------------
 
-/// One benchmark case of a trajectory file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCase {
-    /// Unique case name within the file.
-    pub name: String,
-    /// Timed iterations behind the percentiles.
-    pub iters: u64,
-    /// Median per-iteration wall time.
-    pub wall_ns_p50: u64,
-    /// 99th-percentile per-iteration wall time.
-    pub wall_ns_p99: u64,
-    /// Workload items per second at the median (items are case-defined:
-    /// dot products, cache lookups, ingested frames…).
-    pub throughput_items_per_s: f64,
-    /// Simulated ReID inferences the case performed (0 for pure kernels).
-    pub inferences: u64,
-    /// Heap bytes allocated during the timed iterations (counted by
-    /// [`CountingAlloc`]; 0 when the binary did not install it).
-    pub bytes_allocated: u64,
+crate::json_struct! {
+    /// One benchmark case of a trajectory file.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchCase {
+        /// Unique case name within the file.
+        pub name: String,
+        /// Timed iterations behind the percentiles.
+        pub iters: u64,
+        /// Median per-iteration wall time.
+        pub wall_ns_p50: u64,
+        /// 99th-percentile per-iteration wall time.
+        pub wall_ns_p99: u64,
+        /// Workload items per second at the median (items are case-defined:
+        /// dot products, cache lookups, ingested frames…).
+        pub throughput_items_per_s: f64,
+        /// Simulated ReID inferences the case performed (0 for pure kernels).
+        pub inferences: u64,
+        /// Heap bytes allocated during the timed iterations (counted by
+        /// [`CountingAlloc`]; 0 when the binary did not install it).
+        pub bytes_allocated: u64,
+    }
 }
 
 impl BenchCase {
@@ -186,19 +186,21 @@ impl BenchCase {
     }
 }
 
-/// Environment stamp of a trajectory point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchMeta {
-    /// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree.
-    pub git_sha: String,
-    /// `tm_par::max_threads()` at measurement time.
-    pub threads: u64,
-    /// Runtime-detected CPU features relevant to the kernels.
-    pub cpu: Vec<String>,
-    /// Active kernel dispatch: `"avx2+fma"` or `"scalar-fallback"`.
-    pub simd: String,
-    /// Whether the run used `--quick` (reduced iteration counts).
-    pub quick: bool,
+crate::json_struct! {
+    /// Environment stamp of a trajectory point.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchMeta {
+        /// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree.
+        pub git_sha: String,
+        /// `tm_par::max_threads()` at measurement time.
+        pub threads: u64,
+        /// Runtime-detected CPU features relevant to the kernels.
+        pub cpu: Vec<String>,
+        /// Active kernel dispatch: `"avx2+fma"` or `"scalar-fallback"`.
+        pub simd: String,
+        /// Whether the run used `--quick` (reduced iteration counts).
+        pub quick: bool,
+    }
 }
 
 /// One `BENCH_*.json` document.
@@ -208,6 +210,20 @@ pub struct BenchReport {
     pub meta: BenchMeta,
     /// The suite's cases.
     pub cases: Vec<BenchCase>,
+}
+
+impl ToJson for BenchReport {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        write_object(
+            out,
+            depth,
+            [
+                ("schema_version", &SCHEMA_VERSION as &dyn ToJson),
+                ("meta", &self.meta),
+                ("cases", &self.cases),
+            ],
+        );
+    }
 }
 
 /// Collects the environment stamp for this process.
@@ -262,146 +278,62 @@ pub fn repo_root() -> PathBuf {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl BenchReport {
-    /// Serializes the report. Rust's `{}` float formatting is
-    /// shortest-round-trip, so `decode(encode(r)) == r` exactly.
+    /// Serializes the report through the [`crate::json`] codec, whose
+    /// floats round-trip exactly, so `decode(encode(r)) == r`.
     ///
     /// # Panics
     /// If a throughput value is non-finite (the validator rejects those
     /// first on every write path).
     pub fn encode(&self) -> String {
-        let mut s = String::with_capacity(256 + self.cases.len() * 160);
-        s.push_str("{\n  \"schema_version\": ");
-        s.push_str(&SCHEMA_VERSION.to_string());
-        s.push_str(",\n  \"meta\": {\n    \"git_sha\": ");
-        push_json_str(&mut s, &self.meta.git_sha);
-        s.push_str(",\n    \"threads\": ");
-        s.push_str(&self.meta.threads.to_string());
-        s.push_str(",\n    \"cpu\": [");
-        for (i, f) in self.meta.cpu.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            push_json_str(&mut s, f);
-        }
-        s.push_str("],\n    \"simd\": ");
-        push_json_str(&mut s, &self.meta.simd);
-        s.push_str(",\n    \"quick\": ");
-        s.push_str(if self.meta.quick { "true" } else { "false" });
-        s.push_str("\n  },\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
+        for c in &self.cases {
             assert!(
                 c.throughput_items_per_s.is_finite(),
                 "case {} has non-finite throughput",
                 c.name
             );
-            s.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
-            s.push_str("\"name\": ");
-            push_json_str(&mut s, &c.name);
-            s.push_str(&format!(
-                ", \"iters\": {}, \"wall_ns_p50\": {}, \"wall_ns_p99\": {}, \
-                 \"throughput_items_per_s\": {}, \"inferences\": {}, \
-                 \"bytes_allocated\": {}}}",
-                c.iters,
-                c.wall_ns_p50,
-                c.wall_ns_p99,
-                c.throughput_items_per_s,
-                c.inferences,
-                c.bytes_allocated
-            ));
         }
-        s.push_str("\n  ]\n}\n");
-        s
+        to_json_pretty(self) + "\n"
     }
 
     /// Parses a document produced by [`BenchReport::encode`] (or an edited
     /// descendant — any field order, whitespace and escapes accepted).
     pub fn decode(text: &str) -> Result<Self, String> {
         let root = parse_json(text)?;
-        let version = root
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
+        let version = field(&root, "schema_version", Json::as_u64)?;
         if version != SCHEMA_VERSION {
             return Err(format!("unsupported schema_version {version}"));
         }
-        let meta = root.get("meta").ok_or("missing meta")?;
+        let text = |v: &Json, key: &str| field(v, key, Json::as_str).map(str::to_string);
+        let meta = &root["meta"];
         let meta = BenchMeta {
-            git_sha: meta
-                .get("git_sha")
-                .and_then(Json::as_str)
-                .ok_or("meta.git_sha missing")?
-                .to_string(),
-            threads: meta
-                .get("threads")
-                .and_then(Json::as_u64)
-                .ok_or("meta.threads missing")?,
-            cpu: meta
-                .get("cpu")
-                .and_then(Json::as_arr)
-                .ok_or("meta.cpu missing")?
+            git_sha: text(meta, "git_sha")?,
+            threads: field(meta, "threads", Json::as_u64)?,
+            cpu: field(meta, "cpu", Json::as_arr)?
                 .iter()
                 .map(|v| {
                     v.as_str()
                         .map(str::to_string)
-                        .ok_or("meta.cpu entry not a string")
+                        .ok_or("cpu entry not a string")
                 })
                 .collect::<Result<_, _>>()?,
-            simd: meta
-                .get("simd")
-                .and_then(Json::as_str)
-                .ok_or("meta.simd missing")?
-                .to_string(),
-            quick: meta
-                .get("quick")
-                .and_then(Json::as_bool)
-                .ok_or("meta.quick missing")?,
+            simd: text(meta, "simd")?,
+            quick: field(meta, "quick", Json::as_bool)?,
         };
-        let cases = root
-            .get("cases")
-            .and_then(Json::as_arr)
-            .ok_or("missing cases")?
+        let cases = field(&root, "cases", Json::as_arr)?
             .iter()
             .map(|c| {
-                let field = |k: &str| {
-                    c.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("case field {k} missing"))
-                };
                 Ok(BenchCase {
-                    name: c
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("case name missing")?
-                        .to_string(),
-                    iters: field("iters")?,
-                    wall_ns_p50: field("wall_ns_p50")?,
-                    wall_ns_p99: field("wall_ns_p99")?,
-                    throughput_items_per_s: c
-                        .get("throughput_items_per_s")
-                        .and_then(Json::as_f64)
-                        .ok_or("case throughput missing")?,
-                    inferences: field("inferences")?,
-                    bytes_allocated: field("bytes_allocated")?,
+                    name: text(c, "name")?,
+                    iters: field(c, "iters", Json::as_u64)?,
+                    wall_ns_p50: field(c, "wall_ns_p50", Json::as_u64)?,
+                    wall_ns_p99: field(c, "wall_ns_p99", Json::as_u64)?,
+                    throughput_items_per_s: field(c, "throughput_items_per_s", Json::as_f64)?,
+                    inferences: field(c, "inferences", Json::as_u64)?,
+                    bytes_allocated: field(c, "bytes_allocated", Json::as_u64)?,
                 })
             })
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<_, String>>()?;
         Ok(BenchReport { meta, cases })
     }
 
@@ -443,265 +375,9 @@ impl BenchReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (the subset the schema uses — no exponent-free
-/// guarantee needed on numbers; anything `f64::from_str` accepts works).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (stored as `f64`; the schema's integers stay exact
-    /// below 2⁵³, far beyond any counter here).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion-ordered pairs; duplicate keys keep the first).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an f64.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer (rejects fractional values).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.eat_lit("true", Json::Bool(true)),
-            b'f' => self.eat_lit("false", Json::Bool(false)),
-            b'n' => self.eat_lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if !pairs.iter().any(|(k, _)| *k == key) {
-                pairs.push((key, val));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or("unterminated escape")? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                            self.pos += 4;
-                        }
-                        b => return Err(format!("bad escape \\{}", b as char)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {token:?} at byte {start}"))
-    }
+/// `v[key]` read as a `T`, or an error naming the missing key.
+fn field<'a, T>(v: &'a Json, key: &str, get: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    get(&v[key]).ok_or_else(|| format!("{key} missing"))
 }
 
 #[cfg(test)]

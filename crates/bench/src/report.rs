@@ -5,7 +5,7 @@
 //! [`observed`] (or any recorder scope) they are captured and replayable,
 //! so tests and batch drivers can silence or inspect them.
 
-use serde::Serialize;
+use crate::json::{to_json_pretty, ToJson};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,21 +27,16 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Serializes a result structure to `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
+pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let obs = tm_obs::current();
     let path = results_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                obs.log(
-                    Level::Warn,
-                    &format!("could not write {}: {e}", path.display()),
-                );
-            } else {
-                obs.log(Level::Info, &format!("(saved {})", path.display()));
-            }
-        }
-        Err(e) => obs.log(Level::Warn, &format!("could not serialize {name}: {e}")),
+    if let Err(e) = fs::write(&path, to_json_pretty(value)) {
+        obs.log(
+            Level::Warn,
+            &format!("could not write {}: {e}", path.display()),
+        );
+    } else {
+        obs.log(Level::Info, &format!("(saved {})", path.display()));
     }
 }
 

@@ -10,6 +10,7 @@
 use std::sync::Mutex;
 use tm_bench::experiments::{sweep, ExpConfig};
 use tm_bench::harness::{run_selector, DatasetRun};
+use tm_bench::json::{to_json_pretty, ToJson};
 use tm_core::{Baseline, CandidateSelector, TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device};
@@ -21,13 +22,13 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `f` once per thread-count setting and returns the JSON each
 /// produced.
-fn json_per_thread_count<T: serde::Serialize>(f: impl Fn() -> T) -> Vec<String> {
+fn json_per_thread_count<T: ToJson>(f: impl Fn() -> T) -> Vec<String> {
     let _guard = ENV_LOCK.lock().unwrap();
     let jsons = ["1", "4"]
         .iter()
         .map(|n| {
             std::env::set_var("TMERGE_THREADS", n);
-            serde_json::to_string(&f()).expect("serializable result")
+            to_json_pretty(&f())
         })
         .collect();
     std::env::remove_var("TMERGE_THREADS");

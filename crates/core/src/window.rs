@@ -7,11 +7,10 @@
 //! complete: every possible polyonymous pair co-exists in some window or in
 //! two neighbouring ones.
 
-use serde::{Deserialize, Serialize};
 use tm_types::{FrameIdx, Result, TmError};
 
 /// One window `W_c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// The window index `c` (0-based).
     pub index: usize,

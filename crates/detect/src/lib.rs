@@ -39,12 +39,11 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 use tm_synth::GroundTruth;
 use tm_types::{BBox, Detection, FrameIdx, Result, TmError};
 
 /// Tunable error characteristics of the simulated detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Detection probability for a fully visible, glare-free object.
     pub detect_prob: f64,

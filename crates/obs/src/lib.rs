@@ -640,7 +640,9 @@ pub struct JsonlSink {
     out: Mutex<Box<dyn IoWrite + Send>>,
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` escaped for the inside of a JSON string literal (quotes, backslashes
+/// and control characters).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -1,13 +1,12 @@
 //! Query definitions and evaluation over a [`TrackSet`].
 
-use serde::{Deserialize, Serialize};
 use tm_types::{BBox, TrackId, TrackSet};
 
 /// A declarative query over track metadata.
 ///
 /// `PartialEq` only (not `Eq`): [`Query::RegionTransit`] carries an
 /// [`BBox`] whose `f64` coordinates rule out total equality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// Objects (tracks) that remain visible across **more than**
     /// `min_frames` frames (§V-H's *Count* query; 200 in the paper's
@@ -37,7 +36,7 @@ pub enum Query {
 }
 
 /// A query result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryAnswer {
     /// The tracks satisfying a [`Query::Count`].
     Count(Vec<TrackId>),

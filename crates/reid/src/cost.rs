@@ -12,10 +12,8 @@
 //! Constants were calibrated once against Table II's MOT-17 column; see
 //! DESIGN.md §6 and EXPERIMENTS.md for paper-vs-measured numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Where the (simulated) ReID model runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Device {
     /// Sequential per-item inference.
     Cpu,
@@ -44,7 +42,7 @@ impl Device {
 }
 
 /// Simulated cost constants, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// One feature inference on the CPU.
     pub cpu_infer_ms: f64,
@@ -145,7 +143,7 @@ impl Default for CostModel {
 }
 
 /// A simulated wall clock accumulating charged milliseconds.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimClock {
     elapsed_ms: f64,
 }
@@ -186,7 +184,7 @@ impl SimClock {
 }
 
 /// Counters describing how hard the ReID model was worked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReidStats {
     /// Feature inferences actually executed.
     pub inferences: u64,

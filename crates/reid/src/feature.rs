@@ -1,7 +1,5 @@
 //! ReID feature vectors and distances.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum possible Euclidean distance between two unit-norm features; the
 /// paper's normalized distance `d̃` is `d / NORMALIZER ∈ [0, 1]`.
 pub const NORMALIZER: f64 = 2.0;
@@ -10,7 +8,7 @@ pub const NORMALIZER: f64 = 2.0;
 ///
 /// Invariant: unit Euclidean norm (enforced by [`Feature::normalized`],
 /// which every producer in this crate goes through).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature(Vec<f64>);
 
 impl Feature {

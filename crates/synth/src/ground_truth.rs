@@ -1,12 +1,11 @@
 //! Exact per-frame ground truth produced by the world simulation.
 
 use crate::scene::SceneConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tm_types::{BBox, ClassId, FrameIdx, GtObjectId, Track, TrackBox, TrackId, TrackSet};
 
 /// One actor's exact state in one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GtInstance {
     /// The actor's true identity.
     pub actor: GtObjectId,
@@ -23,7 +22,7 @@ pub struct GtInstance {
 }
 
 /// All actor instances in one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GtFrame {
     /// The frame index.
     pub frame: FrameIdx,
@@ -32,7 +31,7 @@ pub struct GtFrame {
 }
 
 /// The complete ground truth of a simulated video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     config: SceneConfig,
     frames: Vec<GtFrame>,

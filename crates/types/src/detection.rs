@@ -1,7 +1,6 @@
 //! Per-frame detections — the interface between the detector and trackers.
 
 use crate::{BBox, ClassId, FrameIdx, GtObjectId};
-use serde::{Deserialize, Serialize};
 
 /// One detected object instance in one frame.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// simulator can synthesize appearance features and so the metrics can score
 /// tracker output against truth. Trackers and the merging algorithms must
 /// not — and in this codebase do not — consult it for association decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Frame in which the object was detected.
     pub frame: FrameIdx,
