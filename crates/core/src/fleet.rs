@@ -28,25 +28,20 @@
 //!
 //! ## Restart
 //!
-//! [`FleetIngester::checkpoint`] wraps the per-shard checkpoints in a
-//! versioned envelope (`TMFL`); [`FleetIngester::resume`] restores every
-//! shard at its last completed window, with the same byte-identity
-//! guarantee as a single resumed merger. Batching lanes are stateless
-//! beyond their shared feature cache, which is derived data (features are
-//! recomputable), so the caller simply constructs fresh lanes on resume.
+//! [`FleetIngester::checkpoint`] seals the per-shard checkpoints in one
+//! `TMFL` envelope (see [`crate::checkpoint`]); [`FleetIngester::resume`]
+//! restores every shard at its last completed window, with the same
+//! byte-identity guarantee as a single resumed merger. Batching lanes are
+//! stateless beyond their shared feature cache, which is derived data
+//! (features are recomputable), so the caller simply constructs fresh
+//! lanes on resume.
 
-use crate::checkpoint::{Reader, Writer};
+use crate::checkpoint::{open, seal, Kind, Writer};
 use crate::selector::CandidateSelector;
 use crate::stream::{StreamConfig, StreamingMerger, WindowDecision};
 use tm_obs::Obs;
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
 use tm_types::{Result, TmError, TrackSet};
-
-/// `TMFL` in ASCII.
-const FLEET_MAGIC: u64 = 0x544d_464c;
-/// Version 1: magic, version, shard count, then one length-prefixed
-/// [`StreamingMerger::checkpoint`] blob per shard, in stream order.
-const FLEET_VERSION: u64 = 1;
 
 fn invalid(reason: &str) -> TmError {
     TmError::invalid("fleet", reason)
@@ -176,13 +171,11 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
     /// between `advance` calls, like [`StreamingMerger::checkpoint`].
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.put_u64(FLEET_MAGIC);
-        w.put_u64(FLEET_VERSION);
         w.put_u64(self.shards.len() as u64);
         for shard in &self.shards {
             w.put_bytes(&shard.checkpoint());
         }
-        w.into_bytes()
+        seal(Kind::Fleet, w.into_bytes())
     }
 
     /// Reconstructs a fleet from a [`FleetIngester::checkpoint`]. The code
@@ -226,14 +219,8 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
         if backends.is_empty() {
             return Err(invalid("a fleet needs at least one stream backend"));
         }
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != FLEET_MAGIC {
-            return Err(invalid("bad fleet magic"));
-        }
-        if r.take_u64()? != FLEET_VERSION {
-            return Err(invalid("unsupported fleet version"));
-        }
-        let n = r.take_u64()? as usize;
+        let mut r = open(Kind::Fleet, bytes)?;
+        let n = r.take_len()?;
         if n < backends.len() {
             return Err(invalid("checkpoint has fewer streams than backends"));
         }
@@ -470,12 +457,10 @@ mod tests {
             );
         }
 
-        // Corruption is a clean error; so is a checkpoint with *fewer*
-        // streams than backends (a fleet that grew since the kill has no
-        // history to resume for the new stream). Fewer backends than
-        // streams is the tolerated superset case, tested separately.
-        assert!(build(Some(&bytes[..bytes.len() / 2])).is_err());
-        assert!(build(Some(&[])).is_err());
+        // A checkpoint with *fewer* streams than backends is a clean error
+        // (a fleet that grew since the kill has no history to resume for
+        // the new stream). Fewer backends than streams is the tolerated
+        // superset case, tested separately.
         let three: Vec<&dyn InferenceBackend> = vec![&model; 3];
         assert!(FleetIngester::resume(
             &model,

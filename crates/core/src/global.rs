@@ -59,25 +59,18 @@
 //! a function of (feed contents, round index) only, which is what makes
 //! kill-and-resume from the `TMGL` envelope byte-identical.
 
-use crate::checkpoint::{put_session_snapshot, take_session_snapshot, Reader, Writer};
+use crate::checkpoint::{
+    corrupt, open, put_breaker, put_robustness, put_session_snapshot, seal, take_breaker,
+    take_robustness, take_session_snapshot, Kind, Reader, Writer,
+};
 use crate::exec;
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
 use crate::union::{merge_mapping, UnionFind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tm_obs::{Obs, Value};
-use tm_reid::{
-    AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession, RetryPolicy,
-};
+use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession};
 use tm_types::{FrameIdx, Result, TmError, TrackId, TrackPair, TrackSet};
-
-/// `TMGL` in ASCII: the global-merger checkpoint envelope.
-const MAGIC: u64 = 0x544d_474c;
-const VERSION: u64 = 1;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("global checkpoint", reason)
-}
 
 fn invalid(reason: &str) -> TmError {
     TmError::invalid("global", reason)
@@ -278,7 +271,7 @@ fn take_topology(r: &mut Reader<'_>) -> Result<CameraTopology> {
             let c = r.take_u64()?;
             hist.insert(dt, c);
         }
-        if hist.values().sum::<u64>() != count {
+        if hist.values().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(count) {
             return Err(corrupt("profile count disagrees with histogram"));
         }
         profiles.insert(
@@ -818,9 +811,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
     /// fleet this merger overlays.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
-
         w.put_u64(self.config.round_len);
         w.put_f64(self.config.k);
         w.put_u64(self.config.prior_min_dt);
@@ -835,13 +825,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             None => w.put_bool(false),
         }
 
-        w.put_u64(self.robustness.retry.max_attempts as u64);
-        w.put_f64(self.robustness.retry.base_backoff_ms);
-        w.put_f64(self.robustness.retry.backoff_factor);
-        w.put_f64(self.robustness.retry.max_backoff_ms);
-        w.put_u64(self.robustness.breaker_threshold as u64);
-        w.put_f64(self.robustness.degraded.max_spatial_px);
-        w.put_u64(self.robustness.degraded.max_temporal_gap as u64);
+        put_robustness(&mut w, &self.robustness);
 
         w.put_u64(self.cameras);
         w.put_u64(self.next_round);
@@ -866,20 +850,14 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             w.put_bool(d.mode == DecisionMode::Degraded);
         }
 
-        w.put_u64(self.breaker.threshold() as u64);
-        w.put_u64(self.breaker.consecutive() as u64);
-        w.put_bool(self.breaker.is_open());
-
-        w.put_u64(self.counters.degraded_windows);
-        w.put_u64(self.counters.reverified_windows);
-        w.put_u64(self.counters.breaker_trips);
+        put_breaker(&mut w, &self.breaker, &self.counters);
 
         w.put_u64(self.pairs_total);
         w.put_u64(self.pairs_admitted);
 
         put_topology(&mut w, &self.topology);
         put_session_snapshot(&mut w, &self.session.snapshot());
-        w.into_bytes()
+        seal(Kind::Global, w.into_bytes())
     }
 
     /// Reconstructs a merger from a [`GlobalMerger::checkpoint`].
@@ -896,14 +874,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-
+        let mut r = open(Kind::Global, bytes)?;
         let config = GlobalConfig {
             round_len: r.take_u64()?,
             k: r.take_f64()?,
@@ -918,19 +889,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             },
         };
 
-        let robustness = RobustnessConfig {
-            retry: RetryPolicy {
-                max_attempts: r.take_u64()? as u32,
-                base_backoff_ms: r.take_f64()?,
-                backoff_factor: r.take_f64()?,
-                max_backoff_ms: r.take_f64()?,
-            },
-            breaker_threshold: r.take_u64()? as u32,
-            degraded: crate::resilience::DegradedConfig {
-                max_spatial_px: r.take_f64()?,
-                max_temporal_gap: r.take_u64()? as i64,
-            },
-        };
+        let robustness = take_robustness(&mut r)?;
 
         let cameras = r.take_u64()?;
         let next_round = r.take_u64()?;
@@ -966,13 +925,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             })
             .collect::<Result<_>>()?;
 
-        let breaker = Breaker::restore(r.take_u64()? as u32, r.take_u64()? as u32, r.take_bool()?);
-        let counters = RobustnessReport {
-            degraded_windows: r.take_u64()?,
-            reverified_windows: r.take_u64()?,
-            breaker_trips: r.take_u64()?,
-            ..RobustnessReport::default()
-        };
+        let (breaker, counters) = take_breaker(&mut r)?;
 
         let pairs_total = r.take_u64()?;
         let pairs_admitted = r.take_u64()?;

@@ -57,7 +57,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use tm_core::checkpoint::{Reader, Writer};
+use tm_core::checkpoint::{open, seal, Kind, Reader, Writer};
 use tm_core::{
     build_window_pairs, CandidateSelector, PipelineConfig, StreamingMerger, UnionFind, VoiHints,
     VoiMode, WindowWalk,
@@ -66,14 +66,6 @@ use tm_reid::AppearanceModel;
 use tm_types::{BBox, Result, TmError, Track, TrackId, TrackPair, TrackSet};
 
 use crate::queries::{evaluate, Query, QueryAnswer};
-
-/// `TMAQ` in ASCII — the anytime-stream checkpoint envelope magic.
-const TMAQ_MAGIC: u64 = 0x544d_4151;
-const TMAQ_VERSION: u64 = 1;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("anytime checkpoint", reason)
-}
 
 // ---------------------------------------------------------------------------
 // Configuration and answer types
@@ -958,8 +950,6 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
     /// recomputed from the feed on the next advance).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.put_u64(TMAQ_MAGIC);
-        w.put_u64(TMAQ_VERSION);
         put_query(&mut w, &self.query);
         w.put_bool(self.reweight_arms);
         w.put_bool(self.finished);
@@ -972,7 +962,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
             w.put_f64(p.hi);
         }
         w.put_bytes(&self.merger.checkpoint());
-        w.into_bytes()
+        seal(Kind::Anytime, w.into_bytes())
     }
 
     /// Reconstructs an anytime stream from a [`AnytimeStream::checkpoint`].
@@ -985,13 +975,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != TMAQ_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != TMAQ_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
+        let mut r = open(Kind::Anytime, bytes)?;
         let query = take_query(&mut r)?;
         let reweight_arms = r.take_bool()?;
         let finished = r.take_bool()?;
@@ -1078,7 +1062,7 @@ fn take_query(r: &mut Reader<'_>) -> Result<Query> {
             region: BBox::new(r.take_f64()?, r.take_f64()?, r.take_f64()?, r.take_f64()?),
             min_frames: r.take_u64()?,
         },
-        _ => return Err(corrupt("unknown query tag")),
+        _ => return Err(TmError::invalid("checkpoint", "unknown query tag")),
     })
 }
 

@@ -1,14 +1,15 @@
-//! The `TMSV` envelope: crash recovery for the whole daemon.
+//! The `TMSV` checkpoint: crash recovery for the whole daemon.
 //!
 //! [`TmServe::checkpoint`] serializes the daemon's complete data half —
 //! tenant registry, admission-queue contents, token-bucket and quota
 //! clocks (bit-exact f64s), shed state, stats, retained feeds, and each
 //! tenant's fleet checkpoint (`TMFL`, which nests per-shard `TMCK`
-//! blobs) — into one self-describing byte envelope. Killing the process
-//! between cycles and calling [`TmServe::resume`] reconstructs a daemon
-//! whose subsequent behaviour is byte-identical to never having died:
-//! same decisions, same mappings, same counters, same simulated-clock
-//! bits.
+//! blobs) and optional global-merger checkpoint (`TMGL`) — into one
+//! sealed, checksummed envelope ([`tm_core::checkpoint::seal`]). Killing
+//! the process between cycles and calling [`TmServe::resume`]
+//! reconstructs a daemon whose subsequent behaviour is byte-identical to
+//! never having died: same decisions, same mappings, same counters, same
+//! simulated-clock bits.
 //!
 //! The code half — appearance model, cost model, device, [`ServeConfig`],
 //! selector factory, and the live backends — is the caller's to supply,
@@ -27,23 +28,13 @@
 use crate::admission::{AdmissionConfig, QuotaWindow, TokenBucket};
 use crate::server::{Feed, ServeConfig, Submission, Tenant, TenantSpec, TenantStats, TmServe};
 use std::collections::{BTreeMap, VecDeque};
-use tm_core::checkpoint::{put_track_set, take_track_set, Reader, Writer};
+use tm_core::checkpoint::{open, put_track_set, seal, take_track_set, Kind, Reader, Writer};
 use tm_core::fleet::FleetIngester;
 use tm_core::global::GlobalMerger;
 use tm_core::selector::CandidateSelector;
 use tm_obs::Level;
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
 use tm_types::{Result, TmError};
-
-/// `"TMSV"` in big-endian ASCII.
-const MAGIC: u64 = 0x544d_5356;
-/// Bump on any layout change; readers reject unknown versions.
-/// v2 appended each tenant's optional global-merger (`TMGL`) blob.
-const VERSION: u64 = 2;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("serve-checkpoint", reason)
-}
 
 fn put_admission(w: &mut Writer, a: &AdmissionConfig) {
     w.put_u64(a.max_queue as u64);
@@ -116,9 +107,9 @@ struct TenantImage<'a> {
 
 fn take_tenant_image<'a>(r: &mut Reader<'a>) -> Result<TenantImage<'a>> {
     let id = r.take_u64()?;
-    let streams = r.take_u64()? as usize;
+    let streams = r.take_len()?;
     if streams == 0 {
-        return Err(corrupt("tenant with zero streams"));
+        return Err(TmError::invalid("checkpoint", "tenant with zero streams"));
     }
     let admission = take_admission(r)?;
     let bucket = TokenBucket {
@@ -148,7 +139,10 @@ fn take_tenant_image<'a>(r: &mut Reader<'a>) -> Result<TenantImage<'a>> {
     for _ in 0..queue_len {
         let stream = r.take_u64()? as usize;
         if stream >= streams {
-            return Err(corrupt("queued submission for an out-of-range stream"));
+            return Err(TmError::invalid(
+                "checkpoint",
+                "queued submission for an out-of-range stream",
+            ));
         }
         let frames = r.take_u64()?;
         let tracks = take_track_set(r)?;
@@ -190,8 +184,6 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     /// [`TmServe::run_once`] calls leaves the run's byte-trace untouched.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
         w.put_f64(self.now_ms);
         w.put_u64(self.cycles);
         w.put_u64(self.rejected_unknown);
@@ -232,7 +224,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
                 None => w.put_bool(false),
             }
         }
-        w.into_bytes()
+        seal(Kind::Serve, w.into_bytes())
     }
 
     /// Reconstructs a daemon from a [`TmServe::checkpoint`] envelope.
@@ -256,13 +248,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         mut backends_for: impl FnMut(u64, usize) -> Option<Vec<&'m dyn InferenceBackend>>,
         bytes: &[u8],
     ) -> Result<(Self, Vec<u64>)> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad serve magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported serve version"));
-        }
+        let mut r = open(Kind::Serve, bytes)?;
         let now_ms = r.take_f64()?;
         let cycles = r.take_u64()?;
         let rejected_unknown = r.take_u64()?;
@@ -283,7 +269,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         for _ in 0..n_tenants {
             let mut image = take_tenant_image(&mut r)?;
             if last_id.is_some_and(|prev| prev >= image.spec.id) {
-                return Err(corrupt("tenant ids out of order"));
+                return Err(TmError::invalid("checkpoint", "tenant ids out of order"));
             }
             last_id = Some(image.spec.id);
             let Some(backends) = backends_for(image.spec.id, image.spec.streams) else {
@@ -535,33 +521,5 @@ mod tests {
         // The surviving stream's feed is intact; stream 1 is gone.
         assert!(revived.feed(9, 0).is_some());
         assert!(revived.feed(9, 1).is_none());
-    }
-
-    #[test]
-    fn corrupt_envelopes_are_clean_errors() {
-        let model = AppearanceModel::new(AppearanceConfig::default());
-        let serve = played(&model);
-        let envelope = serve.checkpoint();
-        let resume = |bytes: &[u8]| {
-            TmServe::<TMerge>::resume(
-                &model,
-                CostModel::calibrated(),
-                Device::Cpu,
-                serve_config(),
-                |_, _| selector(),
-                |_, streams| Some(vec![&model as &dyn InferenceBackend; streams]),
-                bytes,
-            )
-            .map(|_| ())
-        };
-        assert!(resume(&[]).is_err());
-        assert!(resume(&envelope[..envelope.len() / 2]).is_err());
-        let mut bad = envelope.clone();
-        bad[0] ^= 0xFF;
-        assert!(resume(&bad).is_err());
-        // Trailing garbage is rejected too.
-        let mut long = envelope.clone();
-        long.extend_from_slice(&[0u8; 8]);
-        assert!(resume(&long).is_err());
     }
 }

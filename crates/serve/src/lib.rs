@@ -15,10 +15,12 @@
 //! - **Tiered retention** ([`ServeConfig::retention_horizon_windows`]):
 //!   old windows compact to their accepted merges, bounding resident
 //!   state under indefinite soak.
-//! - **Crash recovery**: the `TMSV` envelope ([`TmServe::checkpoint`] /
-//!   [`TmServe::resume`]) wraps every tenant's fleet checkpoint plus the
-//!   daemon's own registry, queues, and admission clocks; kill-and-resume
-//!   is byte-identical to never having died.
+//! - **Crash recovery**: the `TMSV` checkpoint ([`TmServe::checkpoint`] /
+//!   [`TmServe::resume`]) nests every tenant's fleet (and global-merger)
+//!   checkpoint beside the daemon's own registry, queues, and admission
+//!   clocks, in the workspace's one sealed, checksummed envelope
+//!   (`tm_core::checkpoint`); kill-and-resume is byte-identical to never
+//!   having died, and a corrupt checkpoint is an error, never a resume.
 //! - **Live queries** ([`TmServe::query`]): `tm-query` Count and
 //!   Co-occurrence answered against the in-flight merged state,
 //!   provisional merges included.
