@@ -46,9 +46,8 @@
 //! [`StreamingMerger::with_backend`]) for identical continuation. VoI
 //! hints are ephemeral query-layer state, re-attached by the caller.
 
-use crate::resilience::{
-    Breaker, DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport,
-};
+use crate::exec::Recovery;
+use crate::resilience::{DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport};
 use crate::selector::CandidateSelector;
 use crate::stream::{
     RetentionSummary, StashedWindow, StreamConfig, StreamingMerger, WindowDecision,
@@ -69,7 +68,7 @@ use tm_types::{
 const MAGIC: u64 = u64::from_le_bytes(*b"TMERGECK");
 /// The checkpoint format version: the header and every kind's body layout.
 /// Bump on any layout change; [`open`] rejects every other version.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 /// Magic, kind, version and body length.
 const HEADER: usize = 32;
 /// The checksum word.
@@ -330,57 +329,79 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Writes a [`RobustnessConfig`]; shared by the merger and global-merger
-/// bodies.
-pub(crate) fn put_robustness(w: &mut Writer, cfg: &RobustnessConfig) {
+/// A stashed item's own checkpoint fields, written by [`put_recovery`].
+pub(crate) trait StashItem: Sized {
+    fn put(&self, w: &mut Writer);
+    fn take(r: &mut Reader<'_>) -> Result<Self>;
+}
+
+impl StashItem for StashedWindow {
+    fn put(&self, w: &mut Writer) {
+        w.put_window(&self.window);
+        w.put_pairs(&self.pairs);
+        w.put_pairs(&self.provisional);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(StashedWindow {
+            window: r.take_window()?,
+            pairs: r.take_pairs()?,
+            provisional: r.take_pairs()?,
+        })
+    }
+}
+
+/// Writes a [`Recovery`]: the robustness config, the breaker bit, the
+/// window-level counters and the stash; shared by the merger and
+/// global-merger bodies. The session-derived counters are not stored; they
+/// are re-read from the restored session.
+pub(crate) fn put_recovery<T: StashItem>(w: &mut Writer, rec: &Recovery<T>) {
+    let cfg = &rec.config;
     w.put_u64(cfg.retry.max_attempts as u64);
     w.put_f64(cfg.retry.base_backoff_ms);
     w.put_f64(cfg.retry.backoff_factor);
     w.put_f64(cfg.retry.max_backoff_ms);
-    w.put_u64(cfg.breaker_threshold as u64);
     w.put_f64(cfg.degraded.max_spatial_px);
     w.put_u64(cfg.degraded.max_temporal_gap as u64);
+    w.put_bool(rec.open);
+    w.put_u64(rec.report.degraded_windows);
+    w.put_u64(rec.report.reverified_windows);
+    w.put_u64(rec.report.breaker_trips);
+    w.put_u64(rec.stash.len() as u64);
+    for item in &rec.stash {
+        item.put(w);
+    }
 }
 
-/// The matching reader for [`put_robustness`].
-pub(crate) fn take_robustness(r: &mut Reader<'_>) -> Result<RobustnessConfig> {
-    Ok(RobustnessConfig {
+/// The matching reader for [`put_recovery`].
+pub(crate) fn take_recovery<T: StashItem>(r: &mut Reader<'_>) -> Result<Recovery<T>> {
+    let config = RobustnessConfig {
         retry: RetryPolicy {
             max_attempts: r.take_u32()?,
             base_backoff_ms: r.take_f64()?,
             backoff_factor: r.take_f64()?,
             max_backoff_ms: r.take_f64()?,
         },
-        breaker_threshold: r.take_u32()?,
         degraded: DegradedConfig {
             max_spatial_px: r.take_f64()?,
             max_temporal_gap: r.take_u64()? as i64,
         },
-    })
-}
-
-/// Writes the circuit breaker and the window-level robustness counters
-/// (the session-derived counters are not stored; they are re-read from
-/// the restored session).
-pub(crate) fn put_breaker(w: &mut Writer, breaker: &Breaker, counters: &RobustnessReport) {
-    w.put_u64(breaker.threshold() as u64);
-    w.put_u64(breaker.consecutive() as u64);
-    w.put_bool(breaker.is_open());
-    w.put_u64(counters.degraded_windows);
-    w.put_u64(counters.reverified_windows);
-    w.put_u64(counters.breaker_trips);
-}
-
-/// The matching reader for [`put_breaker`].
-pub(crate) fn take_breaker(r: &mut Reader<'_>) -> Result<(Breaker, RobustnessReport)> {
-    let breaker = Breaker::restore(r.take_u32()?, r.take_u32()?, r.take_bool()?);
-    let counters = RobustnessReport {
+    };
+    let open = r.take_bool()?;
+    let report = RobustnessReport {
         degraded_windows: r.take_u64()?,
         reverified_windows: r.take_u64()?,
         breaker_trips: r.take_u64()?,
         ..RobustnessReport::default()
     };
-    Ok((breaker, counters))
+    let n = r.take_len()?;
+    let stash = (0..n).map(|_| T::take(r)).collect::<Result<_>>()?;
+    Ok(Recovery {
+        config,
+        open,
+        report,
+        stash,
+    })
 }
 
 fn put_gate_config(w: &mut Writer, cfg: &GateConfig) {
@@ -619,7 +640,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             None => w.put_bool(false),
         }
         w.put_u64(self.config.voi.to_word());
-        put_robustness(&mut w, &self.robustness);
+        put_recovery(&mut w, &self.recovery);
 
         w.put_u64(self.next_window as u64);
         w.put_u64(self.watermark);
@@ -632,13 +653,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         w.put_pairs(&seen);
         w.put_pairs(&self.merged_ids);
 
-        w.put_u64(self.stash.len() as u64);
-        for sw in &self.stash {
-            w.put_window(&sw.window);
-            w.put_pairs(&sw.pairs);
-            w.put_pairs(&sw.provisional);
-        }
-
         w.put_u64(self.decisions.len() as u64);
         for d in &self.decisions {
             w.put_window(&d.window);
@@ -647,10 +661,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             w.put_bool(d.mode == DecisionMode::Degraded);
         }
 
-        put_breaker(&mut w, &self.breaker, &self.counters);
-
         w.put_bool(self.shed);
-        w.put_bool(self.shed_recover);
         w.put_u64(self.retention.compacted_windows);
         w.put_u64(self.retention.compacted_pairs);
         w.put_u64(self.retention.compacted_candidates);
@@ -709,7 +720,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             voi: crate::voi::VoiMode::from_word(r.take_u64()?)
                 .ok_or_else(|| corrupt("unknown VoI mode word"))?,
         };
-        let robustness = take_robustness(&mut r)?;
+        let recovery: Recovery<StashedWindow> = take_recovery(&mut r)?;
 
         let next_window = r.take_u64()? as usize;
         let watermark = r.take_u64()?;
@@ -720,17 +731,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             .collect::<Result<_>>()?;
         let seen: BTreeSet<TrackPair> = r.take_pairs()?.into_iter().collect();
         let merged_ids = r.take_pairs()?;
-
-        let n = r.take_len()?;
-        let stash: Vec<StashedWindow> = (0..n)
-            .map(|_| {
-                Ok(StashedWindow {
-                    window: r.take_window()?,
-                    pairs: r.take_pairs()?,
-                    provisional: r.take_pairs()?,
-                })
-            })
-            .collect::<Result<_>>()?;
 
         let n = r.take_len()?;
         let decisions: Vec<WindowDecision> = (0..n)
@@ -748,10 +748,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             })
             .collect::<Result<_>>()?;
 
-        let (breaker, counters) = take_breaker(&mut r)?;
-
         let shed = r.take_bool()?;
-        let shed_recover = r.take_bool()?;
         let retention = RetentionSummary {
             compacted_windows: r.take_u64()?,
             compacted_pairs: r.take_u64()?,
@@ -796,7 +793,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
         let mut session = ReidSession::new(model, session_cost, device)
             .with_obs(obs.clone())
-            .with_retry_policy(robustness.retry)
+            .with_retry_policy(recovery.config.retry)
             .with_gate(config.gate);
         session.restore_snapshot(&session_snap);
 
@@ -809,7 +806,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         Ok(StreamingMerger {
             config,
             stream_id,
-            robustness,
             selector,
             session,
             next_window,
@@ -818,12 +814,9 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             seen,
             uf,
             merged_ids,
-            breaker,
-            stash,
+            recovery,
             decisions,
-            counters,
             shed,
-            shed_recover,
             retention,
             voi_hints: None,
             obs,

@@ -9,9 +9,13 @@
 //!   anytime query (`tm_query::AnytimeQuery::run`) and the experiment
 //!   harness (`tm-bench`).
 //! * The online [`crate::StreamingMerger`] (and through it the fleet) and
-//!   the cross-camera [`crate::GlobalMerger`] keep their own state machines
-//!   (checkpointed, fed incrementally) but decide each window through the
-//!   same step, [`select_guarded`].
+//!   the cross-camera [`crate::GlobalMerger`] keep their own window loops
+//!   (checkpointed, fed incrementally).
+//!
+//! All three own one [`Recovery`]: the circuit breaker, the stash of
+//! degraded windows, the robustness counters and the one recovery rule.
+//! What differs between them is what a stashed item holds and what
+//! re-verifying it commits, and both of those stay with the caller.
 //!
 //! `crates/core/tests/path_equivalence.rs` pins the offline, streaming and
 //! fleet-of-one paths equal on a fixture video.
@@ -22,7 +26,7 @@
 //! bit-for-bit across paths, so nothing here may charge or reorder work.
 
 use crate::pairs::WindowPairs;
-use crate::resilience::{degraded_candidates, Breaker, RobustnessConfig, RobustnessReport};
+use crate::resilience::{degraded_candidates, RobustnessConfig, RobustnessReport};
 use crate::selector::{check_k, CandidateSelector, SelectionInput, SelectionResult};
 use crate::voi::VoiHints;
 use tm_obs::{Obs, Value};
@@ -59,14 +63,14 @@ pub(crate) fn window_session<'m>(
 ///
 /// The walk owns the session (backend: the model unless
 /// [`WindowWalk::with_backend`] installs another; the gate plans the whole
-/// video once, up front), the circuit breaker with its
-/// [`RobustnessReport`], and one candidate slot per window. When a window
-/// fails on the backend it is decided on spatio-temporal evidence and
-/// stashed; once the backend answers again the stash is re-scored with
-/// real ReID — selectors are stateless and seeded per window, so this
-/// reproduces exactly what a healthy run would have chosen — and each
-/// re-verified window replaces its provisional candidates in its own slot,
-/// so candidate order never depends on the outage.
+/// video once, up front), a `Recovery` over window positions, and one
+/// candidate slot per window. When a window fails on the backend it is
+/// decided on spatio-temporal evidence and stashed; once the backend
+/// answers again the stash is re-scored with real ReID — selectors are
+/// stateless and seeded per window, so this reproduces exactly what a
+/// healthy run would have chosen — and each re-verified window replaces
+/// its provisional candidates in its own slot, so candidate order never
+/// depends on the outage.
 ///
 /// Windows may be decided in any order (the anytime query visits them by
 /// value of information); each is decided at most once.
@@ -74,14 +78,11 @@ pub struct WindowWalk<'m, 'w> {
     tracks: &'w TrackSet,
     windows: &'w [WindowPairs],
     k: f64,
-    robustness: RobustnessConfig,
     session: ReidSession<'m>,
-    breaker: Breaker,
-    report: RobustnessReport,
+    /// Stashes positions in `windows`.
+    recovery: Recovery<usize>,
     /// One candidate slot per window, indexed like `windows`.
     slots: Vec<Vec<TrackPair>>,
-    /// Degraded windows awaiting re-verification, in decision order.
-    stash: Vec<usize>,
     n_pairs: usize,
     distance_evals: u64,
     obs: Obs,
@@ -105,7 +106,6 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
         k: f64,
     ) -> Result<Self> {
         check_k(k)?;
-        let robustness = RobustnessConfig::default();
         let mut session = window_session(model, cost, device, None, None, gate);
         // The whole video is known up front, so the gate plans every box
         // once (free: planning charges nothing).
@@ -114,12 +114,9 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
             tracks,
             windows,
             k,
-            robustness,
             session,
-            breaker: Breaker::new(robustness.breaker_threshold),
-            report: RobustnessReport::default(),
+            recovery: Recovery::new(RobustnessConfig::default()),
             slots: vec![Vec::new(); windows.len()],
-            stash: Vec::new(),
             n_pairs: 0,
             distance_evals: 0,
             obs: tm_obs::current(),
@@ -128,7 +125,7 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
 
     /// Routes feature extraction through a fallible `backend` (e.g. a
     /// `tm-chaos` fault injector) under `robustness`' retry policy and
-    /// breaker threshold.
+    /// degraded gating.
     pub fn with_backend(
         mut self,
         backend: &'m dyn InferenceBackend,
@@ -138,8 +135,7 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
             .session
             .with_backend(backend)
             .with_retry_policy(robustness.retry);
-        self.breaker = Breaker::new(robustness.breaker_threshold);
-        self.robustness = *robustness;
+        self.recovery.config = *robustness;
         self
     }
 
@@ -172,35 +168,24 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
         let span = self.obs.span("pipeline.window", self.session.elapsed_ms());
         self.n_pairs += wp.pairs.len();
         self.session.set_epoch(index);
-        if self.breaker.is_open() && self.session.backend_available() {
-            self.breaker.close();
-            emit_breaker_recovery(&self.obs, index);
-            self.reverify(selector)?;
-        }
+        self.recover(selector, None)?;
         let input = SelectionInput {
             pairs: &wp.pairs,
             tracks: self.tracks,
             k: self.k,
             voi,
         };
-        let degraded = match select_guarded(
-            selector,
-            &input,
-            &mut self.session,
-            &mut self.breaker,
-            &mut self.report,
-            &self.obs,
-            index,
-        )? {
+        let selected =
+            self.recovery
+                .select(selector, &input, &mut self.session, &self.obs, index)?;
+        let degraded = match selected {
             Some(r) => {
                 self.distance_evals += r.distance_evals;
                 self.slots[wi] = r.candidates;
                 false
             }
             None => {
-                self.slots[wi] =
-                    degrade_window(&input, &mut self.report, &self.robustness, &self.obs)?;
-                self.stash.push(wi);
+                self.slots[wi] = self.recovery.degrade_window(&input, &self.obs, |_| wi)?;
                 true
             }
         };
@@ -219,51 +204,33 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
     ///
     /// As for [`WindowWalk::decide`].
     pub fn finish(&mut self, selector: &dyn CandidateSelector) -> Result<Vec<TrackPair>> {
-        if !self.stash.is_empty() {
-            let end = self.windows.len() as u64;
-            self.session.set_epoch(end);
-            if self.session.backend_available() {
-                if self.breaker.is_open() {
-                    emit_breaker_recovery(&self.obs, end);
-                }
-                self.breaker.close();
-                self.reverify(selector)?;
-            }
-        }
+        self.recover(selector, Some(self.windows.len() as u64))?;
         Ok(self.slots.iter().flatten().copied().collect())
     }
 
-    /// Re-scores the stash with the (recovered) backend, in the order the
-    /// windows were decided, at the session's current epoch. A window that fails again — along
-    /// with every window after it — stays provisional in the stash.
-    fn reverify(&mut self, selector: &dyn CandidateSelector) -> Result<()> {
-        let windows = self.windows;
-        let pending: Vec<ReverifyItem<'_>> = std::mem::take(&mut self.stash)
-            .into_iter()
-            .map(|wi| ReverifyItem {
-                slot: wi,
-                window_index: windows[wi].window.index as u64,
-                pairs: &windows[wi].pairs,
-            })
-            .collect();
+    /// Runs the recovery rule (see [`Recovery::recover`]): a stashed window
+    /// is re-scored hint-free with `selector` and its candidates replace the
+    /// provisional ones in its own slot.
+    fn recover(&mut self, selector: &dyn CandidateSelector, end: Option<u64>) -> Result<()> {
+        let (windows, tracks, k, obs) = (self.windows, self.tracks, self.k, &self.obs);
         let (slots, distance_evals) = (&mut self.slots, &mut self.distance_evals);
-        let committed = reverify_windows(
-            &pending,
-            self.tracks,
-            self.k,
-            selector,
-            &mut self.session,
-            &mut self.breaker,
-            &mut self.report,
-            &self.obs,
-            |slot, r| {
+        self.recovery
+            .recover(false, end, &mut self.session, obs, |rec, session, &wi| {
+                let wp = &windows[wi];
+                let input = SelectionInput {
+                    pairs: &wp.pairs,
+                    tracks,
+                    k,
+                    voi: None,
+                };
+                let index = wp.window.index as u64;
+                let Some(r) = rec.select(selector, &input, session, obs, index)? else {
+                    return Ok(false);
+                };
                 *distance_evals += r.distance_evals;
-                slots[slot] = r.candidates;
-            },
-        )?;
-        self.stash
-            .extend(pending[committed..].iter().map(|item| item.slot));
-        Ok(())
+                slots[wi] = r.candidates;
+                Ok(true)
+            })
     }
 
     /// The walk's ReID session (simulated clock, work and gate counters).
@@ -284,7 +251,147 @@ impl<'m, 'w> WindowWalk<'m, 'w> {
 
     /// Fault-handling counters, with the session's retry and fault counts.
     pub fn robustness(&self) -> RobustnessReport {
-        let stats = self.session.stats();
+        self.recovery.report(&self.session)
+    }
+}
+
+/// The robustness unit every walk owns: the circuit breaker, the stash of
+/// degraded windows awaiting re-verification (items of type `T`, in
+/// decision order) and the window-level [`RobustnessReport`] counters.
+///
+/// The breaker is one bit. It opens on the first window that still fails
+/// after the session's retries, and while it is open windows degrade
+/// without touching the backend. It closes when a probe finds the backend
+/// back, and that same recovery re-verifies the stash.
+#[derive(Debug)]
+pub(crate) struct Recovery<T> {
+    pub(crate) config: RobustnessConfig,
+    pub(crate) open: bool,
+    /// Degraded/re-verified/trip counters; retry and fault counts live on
+    /// the session.
+    pub(crate) report: RobustnessReport,
+    pub(crate) stash: Vec<T>,
+}
+
+impl<T> Recovery<T> {
+    pub(crate) fn new(config: RobustnessConfig) -> Self {
+        Self {
+            config,
+            open: false,
+            report: RobustnessReport::default(),
+            stash: Vec::new(),
+        }
+    }
+
+    /// The window step: breaker open → `None` without touching the
+    /// backend; otherwise select and flush the gate counters (a failed
+    /// selection still made — and charged — its gate decisions). A backend
+    /// failure trips the breaker and returns `None`; any other error
+    /// propagates. On `None` the caller degrades the window, so the trip is
+    /// always counted before the degradation.
+    pub(crate) fn select(
+        &mut self,
+        selector: &dyn CandidateSelector,
+        input: &SelectionInput<'_>,
+        session: &mut ReidSession<'_>,
+        obs: &Obs,
+        window_index: u64,
+    ) -> Result<Option<SelectionResult>> {
+        if self.open {
+            return Ok(None);
+        }
+        let outcome = selector.select(input, session);
+        flush_gate_obs(session, obs, selector.obs_slug());
+        match outcome {
+            Ok(result) => Ok(Some(result)),
+            Err(e) if e.is_backend() => {
+                self.open = true;
+                self.report.breaker_trips += 1;
+                obs.counter("pipeline.breaker_trips", 1);
+                obs.event("breaker_trip", &[("window", Value::U64(window_index))]);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Decides one window on spatio-temporal evidence only, counts it as
+    /// degraded and stashes `item(&provisional)`: the offline walk's and
+    /// the streaming merger's answer to a `None` from [`Recovery::select`],
+    /// and the streaming merger's shed-load path.
+    pub(crate) fn degrade_window(
+        &mut self,
+        input: &SelectionInput<'_>,
+        obs: &Obs,
+        item: impl FnOnce(&[TrackPair]) -> T,
+    ) -> Result<Vec<TrackPair>> {
+        let provisional =
+            degraded_candidates(input.pairs, input.tracks, input.m(), &self.config.degraded)?;
+        self.degrade(obs, "pipeline.windows_degraded", item(&provisional));
+        Ok(provisional)
+    }
+
+    /// Counts a degraded window under `counter` and stashes `item`.
+    pub(crate) fn degrade(&mut self, obs: &Obs, counter: &str, item: T) {
+        self.report.degraded_windows += 1;
+        obs.counter(counter, 1);
+        self.stash.push(item);
+    }
+
+    /// The one recovery rule, applied at the start of every decided window
+    /// (`end` = `None`, at the session's current epoch) and once at finish
+    /// (`end` = the end epoch, set only when the stash is non-empty).
+    ///
+    /// It runs when the walk is not shedding load, the breaker is open or
+    /// the stash is non-empty, and the backend answers a probe. It emits
+    /// `breaker_recovery` if the breaker was open, closes it, and hands
+    /// each stashed item to `reverify` in order. `reverify` re-selects the
+    /// item through [`Recovery::select`] and commits the result, returning
+    /// whether it did; on a renewed backend failure (the breaker re-opens)
+    /// it returns `false` and that item and every later one stay stashed.
+    pub(crate) fn recover(
+        &mut self,
+        shed: bool,
+        end: Option<u64>,
+        session: &mut ReidSession<'_>,
+        obs: &Obs,
+        mut reverify: impl FnMut(&mut Self, &mut ReidSession<'_>, &T) -> Result<bool>,
+    ) -> Result<()> {
+        if let Some(end) = end {
+            if self.stash.is_empty() {
+                return Ok(());
+            }
+            session.set_epoch(end);
+        }
+        let due = self.open || !self.stash.is_empty();
+        if shed || !due || !session.backend_available() {
+            return Ok(());
+        }
+        if std::mem::take(&mut self.open) {
+            obs.counter("pipeline.breaker_recoveries", 1);
+            obs.event(
+                "breaker_recovery",
+                &[("window", Value::U64(session.epoch()))],
+            );
+        }
+        let mut pending = std::mem::take(&mut self.stash);
+        let mut done = 0;
+        for item in &pending {
+            if !reverify(self, session, item)? {
+                break;
+            }
+            self.report.reverified_windows += 1;
+            obs.counter("pipeline.windows_reverified", 1);
+            done += 1;
+        }
+        pending.drain(..done);
+        self.stash = pending;
+        Ok(())
+    }
+
+    /// The counters, with the session's retry and fault counts.
+    pub(crate) fn report(&self, session: &ReidSession<'_>) -> RobustnessReport {
+        let stats = session.stats();
         RobustnessReport {
             retries: stats.retries,
             backend_faults: stats.backend_faults,
@@ -305,86 +412,6 @@ fn flush_gate_obs(session: &mut ReidSession<'_>, obs: &Obs, selector_slug: &str)
             delta.saved_charges(),
         );
     }
-}
-
-/// The window step: breaker open → `None` without touching the backend;
-/// otherwise select, flush the gate counters (a failed selection still
-/// made — and charged — its gate decisions), and record the outcome on the
-/// breaker: success → `Some`, backend failure → count a possible trip,
-/// then `None`. Any other error propagates. On `None` the caller degrades
-/// the window its own way — [`degrade_window`] and a stash, or (global
-/// rounds) a rollback — so the trip is always counted before the
-/// degradation.
-pub(crate) fn select_guarded(
-    selector: &dyn CandidateSelector,
-    input: &SelectionInput<'_>,
-    session: &mut ReidSession<'_>,
-    breaker: &mut Breaker,
-    report: &mut RobustnessReport,
-    obs: &Obs,
-    window_index: u64,
-) -> Result<Option<SelectionResult>> {
-    if breaker.is_open() {
-        return Ok(None);
-    }
-    let outcome = selector.select(input, session);
-    flush_gate_obs(session, obs, selector.obs_slug());
-    match outcome {
-        Ok(result) => {
-            breaker.record_success();
-            Ok(Some(result))
-        }
-        Err(e) if e.is_backend() => {
-            note_breaker_failure(breaker, report, obs, window_index);
-            Ok(None)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Decides one window on spatio-temporal evidence only, counting it as
-/// degraded: the offline walk's and the streaming merger's answer to a
-/// `None` from [`select_guarded`], and the streaming merger's serve-level
-/// shed-load mode, which forces this path without consulting the breaker
-/// at all.
-pub(crate) fn degrade_window(
-    input: &SelectionInput<'_>,
-    report: &mut RobustnessReport,
-    robustness: &RobustnessConfig,
-    obs: &Obs,
-) -> Result<Vec<TrackPair>> {
-    let provisional =
-        degraded_candidates(input.pairs, input.tracks, input.m(), &robustness.degraded)?;
-    report.degraded_windows += 1;
-    obs.counter("pipeline.windows_degraded", 1);
-    Ok(provisional)
-}
-
-/// Records a window's backend failure on the breaker, counting the trip if
-/// this one opened it.
-fn note_breaker_failure(
-    breaker: &mut Breaker,
-    report: &mut RobustnessReport,
-    obs: &Obs,
-    window_index: u64,
-) {
-    if breaker.record_failure() {
-        report.breaker_trips += 1;
-        obs.counter("pipeline.breaker_trips", 1);
-        obs.event("breaker_trip", &[("window", Value::U64(window_index))]);
-    }
-}
-
-/// Records one stashed window successfully re-scored with real ReID.
-fn note_reverified(report: &mut RobustnessReport, obs: &Obs) {
-    report.reverified_windows += 1;
-    obs.counter("pipeline.windows_reverified", 1);
-}
-
-/// Announces a breaker recovery observed at `epoch`.
-pub(crate) fn emit_breaker_recovery(obs: &Obs, epoch: u64) {
-    obs.counter("pipeline.breaker_recoveries", 1);
-    obs.event("breaker_recovery", &[("window", Value::U64(epoch))]);
 }
 
 /// Emits one decided window's lifecycle counters and event.
@@ -413,59 +440,4 @@ pub(crate) fn emit_window_obs(
             ),
         ],
     );
-}
-
-/// One stashed window queued for re-verification.
-#[derive(Clone, Copy)]
-pub(crate) struct ReverifyItem<'w> {
-    /// Caller-side handle handed back to `commit` (the offline walk's slot
-    /// position; the streaming merger ignores it).
-    pub(crate) slot: usize,
-    /// The window's index, used for the `breaker_trip` event on renewed
-    /// failure.
-    pub(crate) window_index: u64,
-    /// The window's full pair set.
-    pub(crate) pairs: &'w [TrackPair],
-}
-
-/// Re-scores degraded windows with the (recovered) backend, in window
-/// order. `commit` receives each successfully re-scored window's slot and
-/// result (emission order: commit, then the reverified counter — as both
-/// historical walks did). Returns how many windows were committed: on a
-/// renewed backend failure the caller re-stashes `pending[committed..]`;
-/// other errors propagate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reverify_windows(
-    pending: &[ReverifyItem<'_>],
-    tracks: &TrackSet,
-    k: f64,
-    selector: &dyn CandidateSelector,
-    session: &mut ReidSession<'_>,
-    breaker: &mut Breaker,
-    report: &mut RobustnessReport,
-    obs: &Obs,
-    mut commit: impl FnMut(usize, SelectionResult),
-) -> Result<usize> {
-    for (i, item) in pending.iter().enumerate() {
-        let input = SelectionInput {
-            pairs: item.pairs,
-            tracks,
-            k,
-            voi: None,
-        };
-        let outcome = selector.select(&input, session);
-        flush_gate_obs(session, obs, selector.obs_slug());
-        match outcome {
-            Ok(result) => {
-                commit(item.slot, result);
-                note_reverified(report, obs);
-            }
-            Err(e) if e.is_backend() => {
-                note_breaker_failure(breaker, report, obs, item.window_index);
-                return Ok(i);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(pending.len())
 }

@@ -40,8 +40,9 @@
 //! but across cameras a wrong merge chains whole identities together, so
 //! the global tier is deliberately conservative.
 //!
-//! Fault semantics carry over from the stream layer: a backend failure
-//! trips the same [`crate::resilience::Breaker`]; degraded rounds accept
+//! Fault semantics carry over from the stream layer: the merger owns the
+//! same robustness unit (`exec::Recovery`) and a backend failure trips its
+//! breaker; degraded rounds accept
 //! *nothing* provisionally (there is no spatio-temporal fallback across
 //! viewports) and stash their frame bounds for re-verification on
 //! recovery, where each round's pairs are rebuilt under the topology
@@ -60,12 +61,12 @@
 //! kill-and-resume from the `TMGL` envelope byte-identical.
 
 use crate::checkpoint::{
-    corrupt, open, put_breaker, put_robustness, put_session_snapshot, seal, take_breaker,
-    take_robustness, take_session_snapshot, Kind, Reader, Writer,
+    corrupt, open, put_recovery, put_session_snapshot, seal, take_recovery, take_session_snapshot,
+    Kind, Reader, StashItem, Writer,
 };
-use crate::exec;
-use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
-use crate::selector::{CandidateSelector, SelectionInput};
+use crate::exec::{self, Recovery};
+use crate::resilience::{DecisionMode, RobustnessConfig, RobustnessReport};
+use crate::selector::{CandidateSelector, SelectionInput, SelectionResult};
 use crate::union::{merge_mapping, UnionFind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tm_obs::{Obs, Value};
@@ -312,26 +313,45 @@ struct StashedRound {
     hi: u64,
 }
 
+impl StashItem for StashedRound {
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(self.round);
+        w.put_u64(self.lo);
+        w.put_u64(self.hi);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(StashedRound {
+            round: r.take_u64()?,
+            lo: r.take_u64()?,
+            hi: r.take_u64()?,
+        })
+    }
+}
+
+/// The cross-camera link state: what a round builds its pairs from and
+/// commits its merges to.
+struct Links {
+    topology: CameraTopology,
+    seen: BTreeSet<TrackPair>,
+    accepted: Vec<TrackPair>,
+    uf: UnionFind,
+    pairs_total: u64,
+    pairs_admitted: u64,
+}
+
 /// The cross-camera identity resolver. See the module docs.
 pub struct GlobalMerger<'m, S> {
     config: GlobalConfig,
-    robustness: RobustnessConfig,
     selector: S,
     session: ReidSession<'m>,
-    topology: CameraTopology,
     /// Camera count bound on first `advance` (0 = unbound).
     cameras: u64,
     next_round: u64,
     watermark: u64,
-    seen: BTreeSet<TrackPair>,
-    accepted: Vec<TrackPair>,
-    uf: UnionFind,
-    stash: Vec<StashedRound>,
-    breaker: Breaker,
-    counters: RobustnessReport,
+    links: Links,
+    recovery: Recovery<StashedRound>,
     decisions: Vec<GlobalDecision>,
-    pairs_total: u64,
-    pairs_admitted: u64,
     obs: Obs,
 }
 
@@ -355,7 +375,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         let robustness = RobustnessConfig::default();
         Ok(Self {
             config,
-            robustness,
             selector,
             session: exec::window_session(
                 model,
@@ -365,19 +384,19 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 Some(robustness.retry),
                 GatePolicy::Off,
             ),
-            topology: CameraTopology::new(),
             cameras: 0,
             next_round: 0,
             watermark: 0,
-            seen: BTreeSet::new(),
-            accepted: Vec::new(),
-            uf: UnionFind::new(),
-            stash: Vec::new(),
-            breaker: Breaker::new(robustness.breaker_threshold),
-            counters: RobustnessReport::default(),
+            links: Links {
+                topology: CameraTopology::new(),
+                seen: BTreeSet::new(),
+                accepted: Vec::new(),
+                uf: UnionFind::new(),
+                pairs_total: 0,
+                pairs_admitted: 0,
+            },
+            recovery: Recovery::new(robustness),
             decisions: Vec::new(),
-            pairs_total: 0,
-            pairs_admitted: 0,
             obs: tm_obs::current(),
         })
     }
@@ -398,12 +417,11 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         self
     }
 
-    /// Overrides the robustness configuration (retry/backoff, breaker
-    /// threshold; the degraded spatio-temporal gate is unused here).
+    /// Overrides the robustness configuration (retry/backoff; the
+    /// degraded spatio-temporal gate is unused here).
     pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
+        self.recovery.config = robustness;
         self.session = self.session.with_retry_policy(robustness.retry);
-        self.breaker = Breaker::new(robustness.breaker_threshold);
         self
     }
 
@@ -443,16 +461,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             out.push(self.process_round(round, frames, feeds, &combined)?);
             self.next_round += 1;
         }
-        if !self.stash.is_empty() {
-            self.session.set_epoch(self.next_round);
-            if self.session.backend_available() {
-                if self.breaker.is_open() {
-                    self.breaker.close();
-                    exec::emit_breaker_recovery(&self.obs, self.next_round);
-                }
-                self.reverify_stash(feeds, &combined)?;
-            }
-        }
+        self.recover(feeds, &combined, Some(self.next_round))?;
         Ok(out)
     }
 
@@ -496,17 +505,13 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         // on the stream layer: deterministic fault plans address outages
         // to specific rounds.
         self.session.set_epoch(round);
-        if self.breaker.is_open() && self.session.backend_available() {
-            self.breaker.close();
-            exec::emit_breaker_recovery(&self.obs, round);
-            self.reverify_stash(feeds, combined)?;
-        }
+        self.recover(feeds, combined, None)?;
         let lo = round * self.config.round_len;
         // Snapshot the gate counters and remember the round's pairs so a
         // degraded round can be rolled back: its pairs are rebuilt (and
         // recounted) at re-verification, under the recovered topology.
-        let counts = (self.pairs_total, self.pairs_admitted);
-        let pairs = self.build_pairs(lo, hi, feeds);
+        let counts = self.links.counts();
+        let pairs = self.links.build_pairs(&self.config, lo, hi, feeds);
 
         let (candidates, mode) = if pairs.is_empty() {
             (Vec::new(), DecisionMode::Normal)
@@ -517,24 +522,27 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 k: self.config.k,
                 voi: None,
             };
-            match exec::select_guarded(
+            let selected = self.recovery.select(
                 &self.selector,
                 &input,
                 &mut self.session,
-                &mut self.breaker,
-                &mut self.counters,
                 &self.obs,
                 round,
-            )? {
-                Some(result) => {
-                    let kept = self.filter_candidates(result.candidates, &result.scores);
-                    self.commit(&kept, combined);
-                    (kept, DecisionMode::Normal)
-                }
-                // No provisional merges on this layer: a degraded round
-                // commits nothing and rolls back its pairs instead.
+            )?;
+            match selected {
+                Some(result) => (
+                    self.links.accept(&self.config, result, combined),
+                    DecisionMode::Normal,
+                ),
+                // No provisional merges on this layer: cross-camera
+                // evidence is appearance-only, so a degraded round defers
+                // its links instead of guessing them. Its pairs are rolled
+                // back and rebuilt at re-verification.
                 None => {
-                    self.degrade_round(round, lo, hi, &pairs, counts);
+                    self.links.rollback(&pairs, counts);
+                    let stashed = StashedRound { round, lo, hi };
+                    self.recovery
+                        .degrade(&self.obs, "global.rounds_degraded", stashed);
                     (Vec::new(), DecisionMode::Degraded)
                 }
             }
@@ -573,174 +581,54 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         Ok(decision)
     }
 
-    /// Builds the round's admissible pair set: for every track entering
-    /// some camera during `[lo, hi)`, every same-class track in every
-    /// *other* camera that ended first, gated by the topology envelope
-    /// and deduped across rounds. Counts the unpruned and admitted pair
-    /// totals for the pruning-ratio metric.
-    fn build_pairs(&mut self, lo: u64, hi: u64, feeds: &[(&TrackSet, u64)]) -> Vec<TrackPair> {
-        let mut pairs = Vec::new();
-        for (to_cam, (to_set, _)) in feeds.iter().enumerate() {
-            for entry in to_set.iter() {
-                let Some(first) = entry.first_frame() else {
-                    continue;
-                };
-                if first.get() < lo || first.get() >= hi {
-                    continue;
-                }
-                for (from_cam, (from_set, _)) in feeds.iter().enumerate() {
-                    if from_cam == to_cam {
-                        continue;
-                    }
-                    for exit in from_set.iter() {
-                        if exit.class != entry.class {
-                            continue;
-                        }
-                        let Some(last) = exit.last_frame() else {
-                            continue;
-                        };
-                        if last >= first {
-                            continue;
-                        }
-                        let dt = first.get() - last.get();
-                        self.pairs_total += 1;
-                        if !self.topology.admissible(
-                            from_cam as u64,
-                            to_cam as u64,
-                            dt,
-                            &self.config,
-                        ) {
-                            continue;
-                        }
-                        self.pairs_admitted += 1;
-                        let Some(p) = TrackPair::new(
-                            exit.id.in_camera(from_cam as u64),
-                            entry.id.in_camera(to_cam as u64),
-                        ) else {
-                            continue;
-                        };
-                        if self.seen.insert(p) {
-                            pairs.push(p);
-                        }
-                    }
-                }
-            }
-        }
-        pairs.sort();
-        pairs
-    }
-
-    /// Applies the acceptance threshold to a selector's ranked
-    /// candidates (no-op when disabled).
-    fn filter_candidates(
-        &self,
-        mut candidates: Vec<TrackPair>,
-        scores: &HashMap<TrackPair, f64>,
-    ) -> Vec<TrackPair> {
-        if let Some(threshold) = self.config.accept_threshold {
-            candidates.retain(|p| scores.get(p).is_some_and(|&s| s <= threshold));
-        }
-        candidates
-    }
-
-    /// Commits accepted merges: union-find, the accepted log, and the
-    /// topology profile of each pair's directed camera hop.
-    fn commit(&mut self, accepted: &[TrackPair], combined: &TrackSet) {
-        for p in accepted {
-            self.uf.union(p.lo(), p.hi());
-            self.accepted.push(*p);
-            observe_transit(&mut self.topology, *p, combined);
-        }
-    }
-
-    /// Stashes a round decided behind the breaker. No provisional
-    /// merges: cross-camera evidence is appearance-only, so a degraded
-    /// round defers its links instead of guessing them. The pairs built
-    /// for the decision record are rolled back out of the dedup set and
-    /// the gate counters — re-verification rebuilds them under the
-    /// topology state produced by every earlier commit, so the replayed
-    /// candidate set (and the counted totals) match a fault-free run's.
-    fn degrade_round(
+    /// Runs the recovery rule (see `exec::Recovery::recover`): each
+    /// stashed round's pairs are rebuilt from the feeds under the
+    /// *current* topology, re-scored, committed and learned from before the
+    /// next round rebuilds — the same build→select→commit→learn cadence a
+    /// healthy run follows, so a recovered run converges to the fault-free
+    /// links exactly. On a renewed failure the just-rebuilt round is rolled
+    /// back.
+    fn recover(
         &mut self,
-        round: u64,
-        lo: u64,
-        hi: u64,
-        pairs: &[TrackPair],
-        counts: (u64, u64),
-    ) {
-        for p in pairs {
-            self.seen.remove(p);
-        }
-        (self.pairs_total, self.pairs_admitted) = counts;
-        self.counters.degraded_windows += 1;
-        self.obs.counter("global.rounds_degraded", 1);
-        self.stash.push(StashedRound { round, lo, hi });
-    }
-
-    /// Replays stashed rounds with the recovered backend, in round
-    /// order: each round's pairs are rebuilt from the feeds under the
-    /// *current* topology, re-scored, committed, and observed before the
-    /// next round rebuilds — the same build→select→commit→learn cadence
-    /// a healthy run follows, so a recovered run converges to the
-    /// fault-free links exactly. On renewed failure the just-rebuilt
-    /// round is rolled back and the remainder stays stashed.
-    fn reverify_stash(&mut self, feeds: &[(&TrackSet, u64)], combined: &TrackSet) -> Result<()> {
-        let pending = std::mem::take(&mut self.stash);
-        for (i, sr) in pending.iter().enumerate() {
-            let counts = (self.pairs_total, self.pairs_admitted);
-            let pairs = self.build_pairs(sr.lo, sr.hi, feeds);
-            let item = exec::ReverifyItem {
-                slot: sr.round as usize,
-                window_index: sr.round,
-                pairs: &pairs,
-            };
-            let uf = &mut self.uf;
-            let accepted = &mut self.accepted;
-            let topology = &mut self.topology;
-            let config = &self.config;
-            let committed = exec::reverify_windows(
-                &[item],
-                combined,
-                self.config.k,
-                &self.selector,
-                &mut self.session,
-                &mut self.breaker,
-                &mut self.counters,
-                &self.obs,
-                |_, result| {
-                    let mut kept = result.candidates;
-                    if let Some(threshold) = config.accept_threshold {
-                        kept.retain(|p| result.scores.get(p).is_some_and(|&s| s <= threshold));
+        feeds: &[(&TrackSet, u64)],
+        combined: &TrackSet,
+        end: Option<u64>,
+    ) -> Result<()> {
+        let (config, selector, obs, links) =
+            (&self.config, &self.selector, &self.obs, &mut self.links);
+        self.recovery
+            .recover(false, end, &mut self.session, obs, |rec, session, sr| {
+                let counts = links.counts();
+                let pairs = links.build_pairs(config, sr.lo, sr.hi, feeds);
+                let input = SelectionInput {
+                    pairs: &pairs,
+                    tracks: combined,
+                    k: config.k,
+                    voi: None,
+                };
+                match rec.select(selector, &input, session, obs, sr.round)? {
+                    Some(result) => {
+                        links.accept(config, result, combined);
+                        Ok(true)
                     }
-                    for p in &kept {
-                        uf.union(p.lo(), p.hi());
-                        accepted.push(*p);
-                        observe_transit(topology, *p, combined);
+                    None => {
+                        links.rollback(&pairs, counts);
+                        Ok(false)
                     }
-                },
-            )?;
-            if committed == 0 {
-                for p in &pairs {
-                    self.seen.remove(p);
                 }
-                (self.pairs_total, self.pairs_admitted) = counts;
-                self.stash.extend(pending.into_iter().skip(i));
-                return Ok(());
-            }
-        }
-        Ok(())
+            })
     }
 
     /// The cross-camera relabelling implied by all confirmed global
     /// merges, over namespaced global ids. Compose with per-shard
     /// mappings via [`compose_global_mapping`].
     pub fn mapping(&self) -> HashMap<TrackId, TrackId> {
-        merge_mapping(&self.accepted)
+        merge_mapping(&self.links.accepted)
     }
 
     /// All cross-camera merges confirmed so far (namespaced ids).
     pub fn accepted(&self) -> &[TrackPair] {
-        &self.accepted
+        &self.links.accepted
     }
 
     /// Every decided round, in order.
@@ -750,7 +638,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
     /// The learned camera-adjacency graph.
     pub fn topology(&self) -> &CameraTopology {
-        &self.topology
+        &self.links.topology
     }
 
     /// The merger configuration.
@@ -760,12 +648,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
     /// Fault-handling counters so far (all zero on a clean run).
     pub fn robustness(&self) -> RobustnessReport {
-        let stats = self.session.stats();
-        RobustnessReport {
-            retries: stats.retries,
-            backend_faults: stats.backend_faults,
-            ..self.counters
-        }
+        self.recovery.report(&self.session)
     }
 
     /// Simulated time consumed by the global ReID session.
@@ -785,24 +668,24 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
     /// Whether the global breaker is currently open.
     pub fn breaker_open(&self) -> bool {
-        self.breaker.is_open()
+        self.recovery.open
     }
 
     /// Degraded rounds stashed awaiting re-verification.
     pub fn stash_len(&self) -> usize {
-        self.stash.len()
+        self.recovery.stash.len()
     }
 
     /// Size of the cross-round pair-dedup set.
     pub fn seen_len(&self) -> usize {
-        self.seen.len()
+        self.links.seen.len()
     }
 
     /// `(unpruned, admitted)` cross-camera pair counts: every exit×entry
     /// pair examined versus those that passed the topology gate. The
     /// quotient is the pruning ratio the `cross_camera` bench reports.
     pub fn pair_counts(&self) -> (u64, u64) {
-        (self.pairs_total, self.pairs_admitted)
+        self.links.counts()
     }
 
     /// Serializes the merger's complete state into the `TMGL` envelope.
@@ -825,22 +708,15 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             None => w.put_bool(false),
         }
 
-        put_robustness(&mut w, &self.robustness);
+        put_recovery(&mut w, &self.recovery);
 
         w.put_u64(self.cameras);
         w.put_u64(self.next_round);
         w.put_u64(self.watermark);
 
-        let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
+        let seen: Vec<TrackPair> = self.links.seen.iter().copied().collect();
         w.put_pairs(&seen);
-        w.put_pairs(&self.accepted);
-
-        w.put_u64(self.stash.len() as u64);
-        for sr in &self.stash {
-            w.put_u64(sr.round);
-            w.put_u64(sr.lo);
-            w.put_u64(sr.hi);
-        }
+        w.put_pairs(&self.links.accepted);
 
         w.put_u64(self.decisions.len() as u64);
         for d in &self.decisions {
@@ -850,12 +726,10 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             w.put_bool(d.mode == DecisionMode::Degraded);
         }
 
-        put_breaker(&mut w, &self.breaker, &self.counters);
+        w.put_u64(self.links.pairs_total);
+        w.put_u64(self.links.pairs_admitted);
 
-        w.put_u64(self.pairs_total);
-        w.put_u64(self.pairs_admitted);
-
-        put_topology(&mut w, &self.topology);
+        put_topology(&mut w, &self.links.topology);
         put_session_snapshot(&mut w, &self.session.snapshot());
         seal(Kind::Global, w.into_bytes())
     }
@@ -889,7 +763,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             },
         };
 
-        let robustness = take_robustness(&mut r)?;
+        let recovery: Recovery<StashedRound> = take_recovery(&mut r)?;
 
         let cameras = r.take_u64()?;
         let next_round = r.take_u64()?;
@@ -897,17 +771,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
         let seen: BTreeSet<TrackPair> = r.take_pairs()?.into_iter().collect();
         let accepted = r.take_pairs()?;
-
-        let n = r.take_len()?;
-        let stash: Vec<StashedRound> = (0..n)
-            .map(|_| {
-                Ok(StashedRound {
-                    round: r.take_u64()?,
-                    lo: r.take_u64()?,
-                    hi: r.take_u64()?,
-                })
-            })
-            .collect::<Result<_>>()?;
 
         let n = r.take_len()?;
         let decisions: Vec<GlobalDecision> = (0..n)
@@ -925,8 +788,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             })
             .collect::<Result<_>>()?;
 
-        let (breaker, counters) = take_breaker(&mut r)?;
-
         let pairs_total = r.take_u64()?;
         let pairs_admitted = r.take_u64()?;
 
@@ -937,7 +798,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         let obs = tm_obs::current();
         let mut session = ReidSession::new(model, session_cost, device)
             .with_obs(obs.clone())
-            .with_retry_policy(robustness.retry)
+            .with_retry_policy(recovery.config.retry)
             .with_gate(GatePolicy::Off);
         session.restore_snapshot(&session_snap);
 
@@ -949,24 +810,123 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
 
         Ok(Self {
             config,
-            robustness,
             selector,
             session,
-            topology,
             cameras,
             next_round,
             watermark,
-            seen,
-            accepted,
-            uf,
-            stash,
-            breaker,
-            counters,
+            links: Links {
+                topology,
+                seen,
+                accepted,
+                uf,
+                pairs_total,
+                pairs_admitted,
+            },
+            recovery,
             decisions,
-            pairs_total,
-            pairs_admitted,
             obs,
         })
+    }
+}
+
+impl Links {
+    /// Builds the round's admissible pair set: for every track entering
+    /// some camera during `[lo, hi)`, every same-class track in every
+    /// *other* camera that ended first, gated by the topology envelope
+    /// and deduped across rounds. Counts the unpruned and admitted pair
+    /// totals for the pruning-ratio metric.
+    fn build_pairs(
+        &mut self,
+        config: &GlobalConfig,
+        lo: u64,
+        hi: u64,
+        feeds: &[(&TrackSet, u64)],
+    ) -> Vec<TrackPair> {
+        let mut pairs = Vec::new();
+        for (to_cam, (to_set, _)) in feeds.iter().enumerate() {
+            for entry in to_set.iter() {
+                let Some(first) = entry.first_frame() else {
+                    continue;
+                };
+                if first.get() < lo || first.get() >= hi {
+                    continue;
+                }
+                for (from_cam, (from_set, _)) in feeds.iter().enumerate() {
+                    if from_cam == to_cam {
+                        continue;
+                    }
+                    for exit in from_set.iter() {
+                        if exit.class != entry.class {
+                            continue;
+                        }
+                        let Some(last) = exit.last_frame() else {
+                            continue;
+                        };
+                        if last >= first {
+                            continue;
+                        }
+                        let dt = first.get() - last.get();
+                        self.pairs_total += 1;
+                        if !self
+                            .topology
+                            .admissible(from_cam as u64, to_cam as u64, dt, config)
+                        {
+                            continue;
+                        }
+                        self.pairs_admitted += 1;
+                        let Some(p) = TrackPair::new(
+                            exit.id.in_camera(from_cam as u64),
+                            entry.id.in_camera(to_cam as u64),
+                        ) else {
+                            continue;
+                        };
+                        if self.seen.insert(p) {
+                            pairs.push(p);
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort();
+        pairs
+    }
+
+    /// `(unpruned, admitted)` pair counts, the snapshot a rollback
+    /// restores.
+    fn counts(&self) -> (u64, u64) {
+        (self.pairs_total, self.pairs_admitted)
+    }
+
+    /// Undoes a round's [`Links::build_pairs`]: its pairs leave the dedup
+    /// set and the pair counts return to `counts`.
+    fn rollback(&mut self, pairs: &[TrackPair], counts: (u64, u64)) {
+        for p in pairs {
+            self.seen.remove(p);
+        }
+        (self.pairs_total, self.pairs_admitted) = counts;
+    }
+
+    /// Applies the acceptance threshold to a selector's ranked candidates
+    /// (no-op when disabled) and commits the survivors: union-find, the
+    /// accepted log, and the topology profile of each pair's directed
+    /// camera hop. Returns the survivors.
+    fn accept(
+        &mut self,
+        config: &GlobalConfig,
+        result: SelectionResult,
+        combined: &TrackSet,
+    ) -> Vec<TrackPair> {
+        let mut kept = result.candidates;
+        if let Some(threshold) = config.accept_threshold {
+            kept.retain(|p| result.scores.get(p).is_some_and(|&s| s <= threshold));
+        }
+        for p in &kept {
+            self.uf.union(p.lo(), p.hi());
+            self.accepted.push(*p);
+            observe_transit(&mut self.topology, *p, combined);
+        }
+        kept
     }
 }
 

@@ -184,9 +184,9 @@ pub fn run_pipeline(
 ///
 /// 1. the window falls back to [`crate::degraded_candidates`]
 ///    (spatio-temporal evidence only) and is stashed,
-/// 2. after `robustness.breaker_threshold` consecutive such failures the
-///    circuit breaker opens and later windows skip straight to the degraded
-///    path (no retry storms against a dead backend),
+/// 2. that failure opens the circuit breaker, and later windows skip
+///    straight to the degraded path (no retry storms against a dead
+///    backend),
 /// 3. each subsequent window probes availability; on recovery the stashed
 ///    windows are re-scored with real ReID — selectors are stateless and
 ///    seeded per window, so re-scoring reproduces exactly what the healthy

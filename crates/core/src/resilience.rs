@@ -1,4 +1,4 @@
-//! Degraded-mode merging and the circuit breaker.
+//! Degraded-mode merging.
 //!
 //! Real ingestion survives ReID outages. When the backend keeps failing
 //! past the retry budget, the merging layer must not stall the stream or
@@ -8,15 +8,15 @@
 //! the backend recovers, stashed windows are re-scored with real ReID
 //! before their merges are committed for good.
 //!
-//! The components here are deliberately small and deterministic:
+//! The pieces here are deliberately small and deterministic:
 //!
-//! * [`RobustnessConfig`] — retry policy, breaker threshold and the
-//!   degraded gating thresholds, bundled so pipelines and streams share one
-//!   knob set.
+//! * [`RobustnessConfig`] — retry policy and the degraded gating
+//!   thresholds, bundled so pipelines and streams share one knob set.
 //! * [`degraded_candidates`] — the fallback selector: spatial/temporal
 //!   gating plus a distance ranking, no model calls, no RNG.
-//! * [`Breaker`] (crate-private) — counts consecutive window-level backend
-//!   failures and trips after `breaker_threshold` of them.
+//!
+//! The circuit breaker, the stash and the recovery rule that act on them
+//! live in one unit every walk owns, `exec::Recovery`.
 
 use crate::score::PairBoxes;
 use crate::selector::top_m_by_score;
@@ -48,28 +48,15 @@ impl Default for DegradedConfig {
 }
 
 /// Everything the fault-tolerant paths need to know, with defaults that
-/// match production behaviour (retries on, breaker at 2 consecutive window
-/// failures, conservative degraded gating).
+/// match production behaviour (retries on, conservative degraded gating).
+/// The circuit breaker has no knob: it opens on the first window that
+/// still fails after the session's retries.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RobustnessConfig {
     /// Retry/backoff policy installed on the ReID session.
     pub retry: RetryPolicy,
-    /// Consecutive window-level backend failures before the circuit breaker
-    /// opens (clamped to ≥ 1).
-    pub breaker_threshold: u32,
     /// Degraded-mode gating thresholds.
     pub degraded: DegradedConfig,
-}
-
-impl RobustnessConfig {
-    /// The default production configuration.
-    pub fn new() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            breaker_threshold: 2,
-            degraded: DegradedConfig::default(),
-        }
-    }
 }
 
 /// How a window's candidates were decided.
@@ -125,68 +112,6 @@ pub fn degraded_candidates(
         }
     }
     Ok(top_m_by_score(&scored, m))
-}
-
-/// A window-level circuit breaker: `record_failure` after every window the
-/// selector could not finish because of the backend; once `threshold`
-/// consecutive windows have failed the breaker opens and callers stop
-/// attempting real selection until an availability probe succeeds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Breaker {
-    threshold: u32,
-    consecutive: u32,
-    open: bool,
-}
-
-impl Breaker {
-    pub(crate) fn new(threshold: u32) -> Self {
-        Self {
-            threshold: threshold.max(1),
-            consecutive: 0,
-            open: false,
-        }
-    }
-
-    pub(crate) fn is_open(&self) -> bool {
-        self.open
-    }
-
-    pub(crate) fn record_success(&mut self) {
-        self.consecutive = 0;
-    }
-
-    /// Records a window-level backend failure; returns `true` when this
-    /// failure tripped the breaker open.
-    pub(crate) fn record_failure(&mut self) -> bool {
-        self.consecutive = self.consecutive.saturating_add(1);
-        if !self.open && self.consecutive >= self.threshold {
-            self.open = true;
-            return true;
-        }
-        false
-    }
-
-    pub(crate) fn close(&mut self) {
-        self.open = false;
-        self.consecutive = 0;
-    }
-
-    // Checkpoint accessors.
-    pub(crate) fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
-    pub(crate) fn consecutive(&self) -> u32 {
-        self.consecutive
-    }
-
-    pub(crate) fn restore(threshold: u32, consecutive: u32, open: bool) -> Self {
-        Self {
-            threshold: threshold.max(1),
-            consecutive,
-            open,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -246,26 +171,5 @@ mod tests {
         let tracks = TrackSet::from_tracks(vec![track(1, 0, 5, 0.0)]);
         let pairs = vec![pair(1, 99)];
         assert!(degraded_candidates(&pairs, &tracks, 1, &DegradedConfig::default()).is_err());
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_resets_on_success() {
-        let mut b = Breaker::new(2);
-        assert!(!b.record_failure());
-        assert!(!b.is_open());
-        b.record_success();
-        assert!(!b.record_failure());
-        assert!(b.record_failure(), "second consecutive failure trips");
-        assert!(b.is_open());
-        assert!(!b.record_failure(), "already open: no second trip event");
-        b.close();
-        assert!(!b.is_open());
-        assert_eq!(b.consecutive(), 0);
-    }
-
-    #[test]
-    fn zero_threshold_is_clamped_to_one() {
-        let mut b = Breaker::new(0);
-        assert!(b.record_failure(), "threshold 1: first failure trips");
     }
 }

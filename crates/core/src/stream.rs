@@ -24,9 +24,9 @@
 //! [`StreamingMerger::resume`] (see `crate::checkpoint`) continues a killed
 //! ingester at the last completed window with byte-identical results.
 
-use crate::exec::{self, ReverifyItem};
+use crate::exec::{self, Recovery};
 use crate::pairs::tracks_in_first_half;
-use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
+use crate::resilience::{DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{check_k, CandidateSelector, SelectionInput};
 use crate::union::UnionFind;
 use crate::voi::{VoiHints, VoiMode};
@@ -82,7 +82,7 @@ pub struct WindowDecision {
 }
 
 /// A window processed without ReID, awaiting re-verification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct StashedWindow {
     pub(crate) window: Window,
     /// The window's full pair set (needed to re-run the real selector).
@@ -138,7 +138,6 @@ pub struct StreamingMerger<'m, S> {
     /// rides the checkpoint so a resumed fleet reattaches shards to the
     /// right feeds; it never influences decisions.
     pub(crate) stream_id: u64,
-    pub(crate) robustness: RobustnessConfig,
     pub(crate) selector: S,
     pub(crate) session: ReidSession<'m>,
     /// Index of the next unprocessed window.
@@ -152,26 +151,18 @@ pub struct StreamingMerger<'m, S> {
     /// Accepted merges so far.
     pub(crate) uf: UnionFind,
     pub(crate) merged_ids: Vec<TrackPair>,
-    pub(crate) breaker: Breaker,
-    /// Degraded windows whose merges are provisional.
-    pub(crate) stash: Vec<StashedWindow>,
+    /// Stashes degraded windows, whose merges are provisional.
+    pub(crate) recovery: Recovery<StashedWindow>,
     /// Serve-level shed-load flag: while set, every window takes the
     /// degraded spatio-temporal path without charging ReID or consulting
-    /// the breaker (DESIGN.md §15).
+    /// the breaker, and recovery waits (DESIGN.md §15).
     pub(crate) shed: bool,
-    /// Set when shed-load mode ended with stashed windows pending: the
-    /// next processed window re-verifies them, exactly like breaker
-    /// recovery.
-    pub(crate) shed_recover: bool,
     /// Aggregate of state dropped by retention compaction.
     pub(crate) retention: RetentionSummary,
     /// Every decision emitted so far, in window order (bounded by
     /// [`StreamingMerger::compact_before`] when a retention horizon is
     /// configured upstream).
     pub(crate) decisions: Vec<WindowDecision>,
-    /// Degraded/re-verified/breaker counters (retry counters live on the
-    /// session's stats).
-    pub(crate) counters: RobustnessReport,
     /// Query-driven VoI hints, consumed only under [`VoiMode::Reweight`].
     /// Ephemeral: refreshed by the query layer between advances, so they do
     /// NOT ride the checkpoint (the mode does; a resumed stream re-attaches
@@ -198,7 +189,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         Ok(Self {
             config,
             stream_id: 0,
-            robustness,
             selector,
             session: exec::window_session(
                 model,
@@ -214,13 +204,10 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             seen: BTreeSet::new(),
             uf: UnionFind::new(),
             merged_ids: Vec::new(),
-            breaker: Breaker::new(robustness.breaker_threshold),
-            stash: Vec::new(),
+            recovery: Recovery::new(robustness),
             shed: false,
-            shed_recover: false,
             retention: RetentionSummary::default(),
             decisions: Vec::new(),
-            counters: RobustnessReport::default(),
             voi_hints: None,
             obs: tm_obs::current(),
         })
@@ -256,11 +243,10 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     }
 
     /// Overrides the robustness configuration (retry/backoff policy,
-    /// breaker threshold, degraded gating).
+    /// degraded gating).
     pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
+        self.recovery.config = robustness;
         self.session = self.session.with_retry_policy(robustness.retry);
-        self.breaker = Breaker::new(robustness.breaker_threshold);
         self
     }
 
@@ -326,18 +312,43 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             out.push(self.process_window(tracks, clipped)?);
             self.next_window += 1;
         }
-        if !self.stash.is_empty() && !self.shed {
-            self.session.set_epoch(self.next_window as u64);
-            if self.session.backend_available() {
-                if self.breaker.is_open() {
-                    exec::emit_breaker_recovery(&self.obs, self.next_window as u64);
-                }
-                self.breaker.close();
-                self.shed_recover = false;
-                self.reverify_stash(tracks)?;
-            }
-        }
+        self.recover(tracks, Some(self.next_window as u64))?;
         Ok(out)
+    }
+
+    /// Runs the recovery rule (see `exec::Recovery::recover`): a stashed
+    /// window is re-scored hint-free on its stored pairs and its candidates
+    /// are committed for good. Selectors are stateless and per-window
+    /// seeded, so a re-run reproduces exactly what the healthy run would
+    /// have chosen. While shedding load nothing is re-verified: the whole
+    /// point is to not spend ReID.
+    fn recover(&mut self, tracks: &TrackSet, end: Option<u64>) -> Result<()> {
+        let (k, selector, obs) = (self.config.k, &self.selector, &self.obs);
+        let (uf, merged_ids) = (&mut self.uf, &mut self.merged_ids);
+        self.recovery.recover(
+            self.shed,
+            end,
+            &mut self.session,
+            obs,
+            |rec, session, sw| {
+                session.gate_update_plan(tracks);
+                let input = SelectionInput {
+                    pairs: &sw.pairs,
+                    tracks,
+                    k,
+                    voi: None,
+                };
+                let index = sw.window.index as u64;
+                let Some(r) = rec.select(selector, &input, session, obs, index)? else {
+                    return Ok(false);
+                };
+                for p in &r.candidates {
+                    uf.union(p.lo(), p.hi());
+                    merged_ids.push(*p);
+                }
+                Ok(true)
+            },
+        )
     }
 
     fn process_window(&mut self, tracks: &TrackSet, w: Window) -> Result<WindowDecision> {
@@ -349,21 +360,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         // The window index is the fault epoch: deterministic fault plans
         // address outages to specific windows.
         self.session.set_epoch(w.index as u64);
-        // Recovery runs only outside shed-load mode: while shedding, the
-        // whole point is to not spend ReID, so an open breaker stays open
-        // and the stash keeps growing until the caller un-sheds.
-        if !self.shed {
-            let breaker_recovery = self.breaker.is_open() && self.session.backend_available();
-            let shed_recovery = self.shed_recover && self.session.backend_available();
-            if breaker_recovery {
-                self.breaker.close();
-                exec::emit_breaker_recovery(&self.obs, w.index as u64);
-            }
-            if breaker_recovery || shed_recovery {
-                self.shed_recover = false;
-                self.reverify_stash(tracks)?;
-            }
-        }
+        self.recover(tracks, None)?;
         let cur_ids = tracks_in_first_half(tracks, &w);
         let mut pairs: Vec<TrackPair> = Vec::new();
         {
@@ -413,12 +410,10 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             let selected = if self.shed {
                 None
             } else {
-                exec::select_guarded(
+                self.recovery.select(
                     &self.selector,
                     &input,
                     &mut self.session,
-                    &mut self.breaker,
-                    &mut self.counters,
                     &self.obs,
                     w.index as u64,
                 )?
@@ -426,17 +421,13 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             match selected {
                 Some(r) => (r.candidates, DecisionMode::Normal),
                 None => {
-                    let provisional = exec::degrade_window(
-                        &input,
-                        &mut self.counters,
-                        &self.robustness,
-                        &self.obs,
-                    )?;
-                    self.stash.push(StashedWindow {
-                        window: w,
-                        pairs: pairs.clone(),
-                        provisional: provisional.clone(),
-                    });
+                    let provisional =
+                        self.recovery
+                            .degrade_window(&input, &self.obs, |p| StashedWindow {
+                                window: w,
+                                pairs: pairs.clone(),
+                                provisional: p.to_vec(),
+                            })?;
                     (provisional, DecisionMode::Degraded)
                 }
             }
@@ -465,54 +456,15 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         Ok(decision)
     }
 
-    /// Re-scores stashed windows with the (recovered) backend, in window
-    /// order, committing their candidates for good. Selectors are stateless
-    /// and per-window seeded, so a re-run reproduces exactly what the
-    /// healthy run would have chosen. If the backend fails again the
-    /// remaining windows stay provisional.
-    fn reverify_stash(&mut self, tracks: &TrackSet) -> Result<()> {
-        self.session.gate_update_plan(tracks);
-        let pending = std::mem::take(&mut self.stash);
-        let items: Vec<ReverifyItem<'_>> = pending
-            .iter()
-            .map(|sw| ReverifyItem {
-                slot: sw.window.index,
-                window_index: sw.window.index as u64,
-                pairs: &sw.pairs,
-            })
-            .collect();
-        let uf = &mut self.uf;
-        let merged_ids = &mut self.merged_ids;
-        let committed = exec::reverify_windows(
-            &items,
-            tracks,
-            self.config.k,
-            &self.selector,
-            &mut self.session,
-            &mut self.breaker,
-            &mut self.counters,
-            &self.obs,
-            |_, r| {
-                for p in &r.candidates {
-                    uf.union(p.lo(), p.hi());
-                    merged_ids.push(*p);
-                }
-            },
-        )?;
-        drop(items);
-        self.stash.extend_from_slice(&pending[committed..]);
-        Ok(())
-    }
-
     /// The current relabelling implied by all merges: each merged group
     /// maps to its smallest id. Provisional (degraded, not yet re-verified)
     /// merges are included, so queries keep working through an outage.
     pub fn mapping(&mut self) -> HashMap<TrackId, TrackId> {
-        if self.stash.is_empty() {
+        if self.recovery.stash.is_empty() {
             return crate::union::merge_mapping(&self.merged_ids);
         }
         let mut all = self.merged_ids.clone();
-        for sw in &self.stash {
+        for sw in &self.recovery.stash {
             all.extend_from_slice(&sw.provisional);
         }
         crate::union::merge_mapping(&all)
@@ -531,12 +483,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
     /// Fault-handling counters so far (all zero on a clean stream).
     pub fn robustness(&self) -> RobustnessReport {
-        let stats = self.session.stats();
-        RobustnessReport {
-            retries: stats.retries,
-            backend_faults: stats.backend_faults,
-            ..self.counters
-        }
+        self.recovery.report(&self.session)
     }
 
     /// Simulated time consumed by the ReID session so far.
@@ -567,13 +514,10 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
     /// Flips serve-level shed-load mode. While shed, every window is
     /// decided on the degraded spatio-temporal path (stash + provisional
-    /// merges, zero ReID charges) and breaker recovery is suspended.
-    /// Un-shedding with stashed windows pending arms a re-verification at
-    /// the next processed window, exactly like breaker recovery.
+    /// merges, zero ReID charges) and recovery is suspended. Once un-shed,
+    /// a pending stash is re-verified by the same recovery rule a breaker
+    /// recovery runs.
     pub fn set_shed(&mut self, shed: bool) {
-        if self.shed && !shed && !self.stash.is_empty() {
-            self.shed_recover = true;
-        }
         self.shed = shed;
     }
 
@@ -599,7 +543,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
     /// Whether the circuit breaker is currently open.
     pub fn breaker_open(&self) -> bool {
-        self.breaker.is_open()
+        self.recovery.open
     }
 
     /// Probes whether the backend would accept work at the next window's
@@ -613,7 +557,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
     /// Degraded windows currently stashed awaiting re-verification.
     pub fn stash_len(&self) -> usize {
-        self.stash.len()
+        self.recovery.stash.len()
     }
 
     /// Size of the cross-window pair-dedup set.
@@ -633,7 +577,8 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     /// window. These remain undecided: re-verification re-runs the real
     /// selector on the full pair set, so any of them may still be merged.
     pub fn stash_pairs(&self) -> Vec<TrackPair> {
-        self.stash
+        self.recovery
+            .stash
             .iter()
             .flat_map(|sw| sw.pairs.iter().copied())
             .collect()
@@ -675,7 +620,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         // window has closed, so the provisional merges become permanent
         // (they were already visible in `mapping`; this only stops them
         // from being re-scored).
-        let stash = std::mem::take(&mut self.stash);
+        let stash = std::mem::take(&mut self.recovery.stash);
         for sw in stash {
             if sw.window.end.get() <= horizon_start.get() {
                 for p in &sw.provisional {
@@ -684,7 +629,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 }
                 delta.expired_stash_windows += 1;
             } else {
-                self.stash.push(sw);
+                self.recovery.stash.push(sw);
             }
         }
         self.decisions.retain(|d| {
@@ -715,6 +660,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         // never change a decision — only future cache hits. Keep anything
         // a pending stash re-verification may still want.
         let guard = self
+            .recovery
             .stash
             .iter()
             .map(|sw| sw.window.start.get())

@@ -250,8 +250,9 @@ impl<'m, S: CandidateSelector + Send> Tenant<'m, S> {
 
         // 2. Shed state machine. Entry: last cycle breached the SLO, or
         // any shard's breaker is open. Exit: cooldown elapsed, breach
-        // cleared, and every backend probes healthy — then un-shedding
-        // arms stash re-verification exactly like breaker recovery.
+        // cleared, and every backend probes healthy — then each shard's
+        // pending stash is re-verified by the recovery rule a breaker
+        // recovery runs.
         let n = self.spec.streams;
         let breaker_open = (0..n).any(|i| self.fleet.shard(i).breaker_open());
         if !self.shed && (self.last_breach || breaker_open) {

@@ -19,7 +19,8 @@ use tmerge::reid::{
 };
 use tmerge::synth::{MultiCameraWorld, WorldConfig};
 use tmerge::types::{
-    ids::classes, BBox, FrameIdx, GtObjectId, TmError, Track, TrackBox, TrackId, TrackSet,
+    ids::classes, BBox, FrameIdx, GtObjectId, TmError, Track, TrackBox, TrackId, TrackPair,
+    TrackSet,
 };
 
 /// Total length of the synthetic feed, frames.
@@ -194,7 +195,7 @@ fn zero_fault_plan_is_byte_identical_streaming() {
 fn flaky_backend_is_survivable_and_deterministic() {
     let (model, tracks) = fixture();
     let config = pipeline_config();
-    let robustness = RobustnessConfig::new();
+    let robustness = RobustnessConfig::default();
 
     let run = || {
         let wrapper = FaultyModel::new(&model, FaultPlan::flaky(7));
@@ -309,6 +310,120 @@ fn offline_hard_down_recovers_to_the_fault_free_pipeline() {
         assert_eq!(faulty.accepted, clean.accepted, "{plan:?}");
         assert_eq!(sorted_ids(&faulty.merged), sorted_ids(&clean.merged));
     }
+}
+
+/// The offline walk and the streaming merger share one robustness unit,
+/// so through every outage shape — mid-video, through the last window, a
+/// single window, and two outages back to back — they degrade, trip,
+/// recover and re-verify the same windows, charge the same simulated clock
+/// to the bit, and commit the same merges.
+#[test]
+fn offline_and_streaming_agree_through_outages() {
+    let (model, tracks) = fixture();
+    let config = pipeline_config();
+    let counters = [
+        "pipeline.windows_degraded",
+        "pipeline.windows_reverified",
+        "pipeline.breaker_trips",
+        "pipeline.breaker_recoveries",
+    ];
+    for plan in [
+        FaultPlan::none().with_hard_down(2, 4),
+        FaultPlan::none().with_hard_down(5, 7),
+        FaultPlan::none().with_hard_down(2, 3),
+        FaultPlan::none().with_hard_down(1, 2).with_hard_down(3, 5),
+    ] {
+        let wrapper = FaultyModel::new(&model, plan.clone());
+        let recorded = |run: &dyn Fn() -> (Vec<TrackPair>, RobustnessReport, u64)| {
+            let rec = std::sync::Arc::new(tm_obs::Recorder::new());
+            let (mut accepted, report, clock) = tm_obs::scoped(tm_obs::Obs::new(rec.clone()), run);
+            accepted.sort();
+            (
+                accepted,
+                report,
+                clock,
+                counters.map(|c| rec.counter_value(c)),
+            )
+        };
+        let offline = recorded(&|| {
+            let r = run_pipeline_with_backend(
+                &tracks,
+                N_FRAMES,
+                &model,
+                &config,
+                None,
+                &wrapper,
+                &RobustnessConfig::default(),
+            )
+            .unwrap();
+            (r.accepted, r.robustness, r.elapsed_ms.to_bits())
+        });
+        let streaming = recorded(&|| {
+            let mut m = merger(&model).with_backend(&wrapper);
+            for frames in [250, 480, N_FRAMES] {
+                m.advance(&tracks, frames).unwrap();
+            }
+            m.finish(&tracks, N_FRAMES).unwrap();
+            (
+                m.accepted().to_vec(),
+                m.robustness(),
+                m.elapsed_ms().to_bits(),
+            )
+        });
+        assert_eq!(offline, streaming, "{plan:?}");
+        let report = offline.1;
+        assert!(report.degraded_windows > 0, "{plan:?}: {report:?}");
+        assert_eq!(
+            report.degraded_windows, report.reverified_windows,
+            "{plan:?}: {report:?}"
+        );
+    }
+}
+
+/// With the default configuration the breaker opens on the first window
+/// that still fails after retries, so a one-window outage is re-verified
+/// by the next healthy window. Nothing is left stashed for retention to
+/// commit as a guess: the stream and the global merger both hold exactly
+/// the fault-free merges before they finish.
+#[test]
+fn a_one_window_outage_never_outlives_a_healthy_window() {
+    let (model, tracks) = fixture();
+    let wrapper = FaultyModel::new(&model, FaultPlan::none().with_hard_down(2, 3));
+    let mut faulty = merger(&model)
+        .with_backend(&wrapper)
+        .with_robustness(RobustnessConfig::default());
+    let mut clean = merger(&model);
+    for frames in [250, 480, N_FRAMES] {
+        faulty.advance(&tracks, frames).unwrap();
+        clean.advance(&tracks, frames).unwrap();
+    }
+    let report = faulty.robustness();
+    assert_eq!(report.degraded_windows, 1, "{report:?}");
+    let compacted = faulty.compact_before(FrameIdx(500), &tracks);
+    assert_eq!(compacted.expired_stash_windows, 0, "{compacted:?}");
+    assert_eq!(faulty.stash_len(), 0);
+    assert_eq!(faulty.accepted(), clean.accepted());
+    faulty.finish(&tracks, N_FRAMES).unwrap();
+    clean.finish(&tracks, N_FRAMES).unwrap();
+    assert_eq!(faulty.mapping(), clean.mapping());
+
+    let w = global_world();
+    let horizon = w.horizon();
+    let feeds = w.all_camera_tracks(horizon);
+    let refs: Vec<(&TrackSet, u64)> = feeds.iter().map(|t| (t, horizon)).collect();
+    let wrapper = FaultyModel::new(&model, FaultPlan::none().with_hard_down(2, 3));
+    let mut faulty = global_merger(&model)
+        .with_backend(&wrapper)
+        .with_robustness(RobustnessConfig::default());
+    let mut clean = global_merger(&model);
+    faulty.advance(&refs).unwrap();
+    clean.advance(&refs).unwrap();
+    let report = faulty.robustness();
+    assert_eq!(report.degraded_windows, 1, "{report:?}");
+    assert_eq!(report.reverified_windows, 1, "{report:?}");
+    assert_eq!(faulty.stash_len(), 0);
+    assert!(!clean.accepted().is_empty());
+    assert_eq!(faulty.accepted(), clean.accepted());
 }
 
 /// Acceptance: the extraction gate composes with chaos. A gated merger
